@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cp/init.h"
+#include "linalg/kernels.h"
 #include "tensor/kruskal.h"
 #include "tensor/norms.h"
 
@@ -42,6 +43,13 @@ KruskalTensor CpAls(const DenseTensor& tensor, const CpAlsOptions& options,
 /// Runs CP-ALS on a sparse tensor.
 KruskalTensor CpAls(const SparseTensor& tensor, const CpAlsOptions& options,
                     CpAlsReport* report = nullptr);
+
+/// Dense CP-ALS with an explicit kernel variant (linalg/kernels.h) for its
+/// MTTKRPs — the hook the scalar/SIMD bit-identity tests use. CpAls
+/// dispatches kSimd.
+KruskalTensor CpAlsVariant(const DenseTensor& tensor,
+                           const CpAlsOptions& options, KernelVariant variant,
+                           CpAlsReport* report = nullptr);
 
 /// One ALS factor update for `mode` given the MTTKRP result: solves
 /// A = M (S + ridge * (trace(S)/F) * I)^{-1} with S = ⊛_{k≠mode} Gram_k.

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -417,6 +418,19 @@ Result<int> DistListen(int* port) {
   return fd;
 }
 
+namespace {
+
+// Protocol messages are small request/reply frames; with Nagle's algorithm
+// on, a frame written right after another can sit in the kernel until the
+// peer's delayed ACK fires (~40 ms on Linux loopback), which stalls every
+// wave. Both ends of every channel disable it.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+}  // namespace
+
 Result<std::unique_ptr<DistChannel>> DistAccept(int listen_fd,
                                                 int timeout_ms) {
   for (;;) {
@@ -438,6 +452,7 @@ Result<std::unique_ptr<DistChannel>> DistAccept(int listen_fd,
       return Status::IOError(std::string("dist accept: ") +
                              std::strerror(errno));
     }
+    SetNoDelay(fd);
     return std::make_unique<DistChannel>(fd);
   }
 }
@@ -460,6 +475,7 @@ Result<int> DistConnectOnce(int port) {
     ::close(fd);
     return s;
   }
+  SetNoDelay(fd);
   return fd;
 }
 

@@ -268,6 +268,23 @@ void MttkrpRow3(double* dst, double v, const double* r1, const double* r2,
   for (; c < f; ++c) dst[c] += v * r1[c] * r2[c];
 }
 
+void MttkrpFold(double* dst, const double* w, const double* p, int64_t f,
+                KernelVariant variant) {
+  int64_t c = 0;
+  if (simd::kEnabled && variant == KernelVariant::kSimd) {
+    constexpr int64_t kW = simd::kWidth;
+    for (; c + kW <= f; c += kW) {
+      const simd::VecD pv = simd::Load(p + c);
+      const simd::VecD d = simd::Load(dst + c);
+      simd::Store(dst + c, simd::SelectIfZero(
+                               pv, d, simd::MulAdd(simd::Load(w + c), pv, d)));
+    }
+  }
+  for (; c < f; ++c) {
+    if (p[c] != 0.0) dst[c] += w[c] * p[c];
+  }
+}
+
 void MttkrpSeed(double* prod, double v, const double* row, int64_t f,
                 KernelVariant variant) {
   int64_t c = 0;

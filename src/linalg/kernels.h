@@ -65,6 +65,13 @@ void HadamardKernel(double* a, const double* b, int64_t n,
 void MttkrpRow3(double* dst, double v, const double* r1, const double* r2,
                 int64_t f, KernelVariant variant);
 
+/// dst[c] += w[c] * p[c] for c in [0, f), skipping every c with
+/// p[c] == 0 — the fold of a dense MTTKRP partial into its output row.
+/// A zero partial entry is no update, so a non-finite weight paired with
+/// it cannot turn the output into NaN.
+void MttkrpFold(double* dst, const double* w, const double* p, int64_t f,
+                KernelVariant variant);
+
 /// prod[c] = v * row[c] — the fused product-buffer seed of the generic
 /// MTTKRP paths.
 void MttkrpSeed(double* prod, double v, const double* row, int64_t f,

@@ -18,6 +18,9 @@
 //     It is NOT bit-identical to MulAdd; kernels that use it are the
 //     KernelArith::kFma variants, which are fingerprinted options
 //     (core/config.h) precisely because they change the numbers.
+//   - SelectIfZero(p, if_zero, otherwise) picks per lane on p == 0.0
+//     (either sign; NaN is not zero) — the vector form of a scalar
+//     `if (p == 0.0)` skip, for kernels whose zero-skip is per element.
 
 #ifndef TPCP_LINALG_SIMD_H_
 #define TPCP_LINALG_SIMD_H_
@@ -53,6 +56,10 @@ inline VecD Add(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
   return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
+}
+inline VecD SelectIfZero(VecD p, VecD if_zero, VecD otherwise) {
+  const __m256d zero = _mm256_cmp_pd(p.v, _mm256_setzero_pd(), _CMP_EQ_OQ);
+  return {_mm256_blendv_pd(otherwise.v, if_zero.v, zero)};
 }
 #if defined(__FMA__)
 inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
@@ -92,6 +99,9 @@ inline VecD MulAdd(VecD a, VecD b, VecD acc) {
 inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
   return {vfmaq_f64(acc.v, a.v, b.v)};
 }
+inline VecD SelectIfZero(VecD p, VecD if_zero, VecD otherwise) {
+  return {vbslq_f64(vceqq_f64(p.v, vdupq_n_f64(0.0)), if_zero.v, otherwise.v)};
+}
 
 #else
 
@@ -111,6 +121,9 @@ inline VecD Mul(VecD a, VecD b) { return {a.v * b.v}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) { return {acc.v + a.v * b.v}; }
 inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
   return {std::fma(a.v, b.v, acc.v)};
+}
+inline VecD SelectIfZero(VecD p, VecD if_zero, VecD otherwise) {
+  return p.v == 0.0 ? if_zero : otherwise;
 }
 
 #endif

@@ -14,9 +14,8 @@
 //
 // Lexicographic order over the non-zeros is exactly row-major (linear)
 // order restricted to them, so ForEachEntry visits entries in the same
-// order as SparseTensor::FromDense produces and the dense odometer scans —
-// the property that keeps CSF-driven MTTKRP bit-identical to the sorted
-// COO path.
+// order as SparseTensor::FromDense produces — the property that keeps
+// CSF-driven MTTKRP bit-identical to the sorted COO path.
 
 #ifndef TPCP_TENSOR_CSF_TENSOR_H_
 #define TPCP_TENSOR_CSF_TENSOR_H_

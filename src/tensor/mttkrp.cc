@@ -1,5 +1,7 @@
 #include "tensor/mttkrp.h"
 
+#include "tensor/khatri_rao.h"
+
 namespace tpcp {
 namespace {
 
@@ -14,12 +16,25 @@ void CheckFactorShapes(const Shape& shape, const std::vector<Matrix>& factors,
   }
 }
 
-// The per-non-zero body shared by every sparse layout and the dense
-// odometer: seed the product buffer fused with the first skipped-mode
-// factor (prod = v * row_first — identical rounding to seed-then-multiply,
-// one pass cheaper), multiply the remaining skipped modes in ascending-k
-// order, accumulate into the output row. All three inner loops run through
-// the variant-selectable kernels (linalg/kernels.h).
+// Row-wise Khatri-Rao product of factors[begin, end): one row per index
+// tuple of those modes in row-major order (the last mode fastest), so it
+// pairs with a contiguous run of the tensor's storage. An empty range is
+// the single all-ones row.
+Matrix RowKhatriRao(const std::vector<Matrix>& factors, int begin, int end) {
+  Matrix kr(1, factors[0].cols(), 1.0);
+  for (int k = begin; k < end; ++k) {
+    kr = k == begin ? factors[static_cast<size_t>(k)]
+                    : KhatriRao(kr, factors[static_cast<size_t>(k)]);
+  }
+  return kr;
+}
+
+// The per-non-zero body shared by every sparse layout: seed the product
+// buffer fused with the first skipped-mode factor (prod = v * row_first —
+// identical rounding to seed-then-multiply, one pass cheaper), multiply
+// the remaining skipped modes in ascending-k order, accumulate into the
+// output row. All three inner loops run through the variant-selectable
+// kernels (linalg/kernels.h).
 inline void AccumulateEntry(const Index& index, double v,
                             const std::vector<Matrix>& factors, int mode,
                             int first, int n, int64_t f, double* prod,
@@ -50,26 +65,66 @@ Matrix MttkrpVariant(const DenseTensor& tensor,
   CheckFactorShapes(shape, factors, mode);
   const int n = shape.num_modes();
   const int64_t f = factors[0].cols();
-  Matrix out(shape.dim(mode), f);
+  const int64_t mid = shape.dim(mode);
+  Matrix out(mid, f);
 
-  // Odometer over all cells (row-major: last mode fastest), with a running
-  // product buffer per cell. O(cells * N * F).
-  Index index(static_cast<size_t>(n), 0);
-  std::vector<double> prod(static_cast<size_t>(f));
-  // With a single mode there is no skipped-mode factor to fuse with; the
-  // product degenerates to the value itself.
-  const int first = n == 1 ? -1 : (mode == 0 ? 1 : 0);
-  const int64_t total = tensor.NumElements();
-  for (int64_t linear = 0; linear < total; ++linear) {
-    const double v = tensor.at_linear(linear);
-    if (v != 0.0) {
-      AccumulateEntry(index, v, factors, mode, first, n, f, prod.data(),
-                      &out, variant);
+  // Row-major storage views X as left x mid x right, where left/right
+  // flatten the modes before/after `mode`.
+  const Matrix left = RowKhatriRao(factors, 0, mode);
+  if (mode == n - 1) {
+    // Nothing to the right: one GEMM, out = X(left x mid)^T * KR_left.
+    MicroKernelTN(tensor.data(), mid, left.data(), f, out.data(), f, mid, f,
+                  left.rows(), 1.0, variant, KernelArith::kExact);
+    return out;
+  }
+  const Matrix right = RowKhatriRao(factors, mode + 1, n);
+  const int64_t slab = mid * right.rows();
+  Matrix partial(mid, f);
+  for (int64_t l = 0; l < left.rows(); ++l) {
+    // P = X(l, :, :) * KR_right, then out(i, :) += KR_left(l, :) .* P(i, :).
+    partial.Fill(0.0);
+    MicroKernelNN(tensor.data() + l * slab, right.rows(), right.data(), f,
+                  partial.data(), f, mid, f, right.rows(), variant,
+                  KernelArith::kExact);
+    for (int64_t i = 0; i < mid; ++i) {
+      MttkrpFold(out.row(i), left.row(l), partial.row(i), f, variant);
     }
-    // Advance odometer.
-    for (int k = n - 1; k >= 0; --k) {
-      if (++index[static_cast<size_t>(k)] < shape.dim(k)) break;
-      index[static_cast<size_t>(k)] = 0;
+  }
+  return out;
+}
+
+Matrix MttkrpPartial3(const DenseTensor& tensor, const Matrix& last_factor,
+                      KernelVariant variant) {
+  const Shape& shape = tensor.shape();
+  TPCP_CHECK_EQ(shape.num_modes(), 3);
+  TPCP_CHECK_EQ(last_factor.rows(), shape.dim(2));
+  const int64_t f = last_factor.cols();
+  Matrix partial(shape.dim(0) * shape.dim(1), f);
+  MicroKernelNN(tensor.data(), shape.dim(2), last_factor.data(), f,
+                partial.data(), f, partial.rows(), f, shape.dim(2), variant,
+                KernelArith::kExact);
+  return partial;
+}
+
+Matrix MttkrpFromPartial3(const Matrix& partial,
+                          const std::vector<Matrix>& factors, int mode,
+                          KernelVariant variant) {
+  TPCP_CHECK_EQ(static_cast<int>(factors.size()), 3);
+  TPCP_CHECK(mode == 0 || mode == 1);
+  const Matrix& a = factors[0];
+  const Matrix& b = factors[1];
+  const int64_t f = a.cols();
+  TPCP_CHECK_EQ(partial.rows(), a.rows() * b.rows());
+  TPCP_CHECK_EQ(partial.cols(), f);
+  Matrix out(mode == 0 ? a.rows() : b.rows(), f);
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < b.rows(); ++j) {
+      const double* t = partial.row(i * b.rows() + j);
+      if (mode == 0) {
+        MttkrpFold(out.row(i), b.row(j), t, f, variant);
+      } else {
+        MttkrpFold(out.row(j), a.row(i), t, f, variant);
+      }
     }
   }
   return out;

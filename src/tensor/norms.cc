@@ -18,9 +18,15 @@ double InnerFromMttkrp(const Matrix& m, const KruskalTensor& k, int mode) {
   return acc;
 }
 
-double ResidualFromParts(double x_sq, double inner, double k_norm) {
-  const double resid_sq = x_sq - 2.0 * inner + k_norm * k_norm;
+// A residual that cancels to <= 0 in floating point is an exact fit.
+double ResidualFromParts(double x_sq, double inner, double k_sq) {
+  const double resid_sq = x_sq - 2.0 * inner + k_sq;
   return std::sqrt(resid_sq > 0.0 ? resid_sq : 0.0);
+}
+
+double KruskalSquaredNorm(const KruskalTensor& k) {
+  const double norm = k.Norm();
+  return norm * norm;
 }
 
 }  // namespace
@@ -34,23 +40,28 @@ double InnerProduct(const SparseTensor& x, const KruskalTensor& k) {
 }
 
 double ResidualNorm(const DenseTensor& x, const KruskalTensor& k) {
-  return ResidualFromParts(x.SquaredNorm(), InnerProduct(x, k), k.Norm());
+  return ResidualFromParts(x.SquaredNorm(), InnerProduct(x, k),
+                           KruskalSquaredNorm(k));
 }
 
 double ResidualNorm(const SparseTensor& x, const KruskalTensor& k) {
-  return ResidualFromParts(x.SquaredNorm(), InnerProduct(x, k), k.Norm());
+  return ResidualFromParts(x.SquaredNorm(), InnerProduct(x, k),
+                           KruskalSquaredNorm(k));
+}
+
+double FitFromParts(double x_sq, double inner, double k_sq) {
+  if (x_sq == 0.0) return 1.0;
+  return 1.0 - ResidualFromParts(x_sq, inner, k_sq) / std::sqrt(x_sq);
 }
 
 double Fit(const DenseTensor& x, const KruskalTensor& k) {
-  const double norm = x.FrobeniusNorm();
-  if (norm == 0.0) return 1.0;
-  return 1.0 - ResidualNorm(x, k) / norm;
+  return FitFromParts(x.SquaredNorm(), InnerProduct(x, k),
+                      KruskalSquaredNorm(k));
 }
 
 double Fit(const SparseTensor& x, const KruskalTensor& k) {
-  const double norm = x.FrobeniusNorm();
-  if (norm == 0.0) return 1.0;
-  return 1.0 - ResidualNorm(x, k) / norm;
+  return FitFromParts(x.SquaredNorm(), InnerProduct(x, k),
+                      KruskalSquaredNorm(k));
 }
 
 }  // namespace tpcp

@@ -18,9 +18,13 @@ double InnerProduct(const SparseTensor& x, const KruskalTensor& k);
 double ResidualNorm(const DenseTensor& x, const KruskalTensor& k);
 double ResidualNorm(const SparseTensor& x, const KruskalTensor& k);
 
-/// accuracy(X, X̃) = 1 - ||X̃ - X|| / ||X||.
+/// accuracy(X, X̃) = 1 - ||X̃ - X|| / ||X||. Reads X once.
 double Fit(const DenseTensor& x, const KruskalTensor& k);
 double Fit(const SparseTensor& x, const KruskalTensor& k);
+
+/// The fit from its parts: x_sq = ||X||², inner = <X, X̃>, k_sq = ||X̃||².
+/// 1.0 for a zero X; a residual that cancels to <= 0 reports 1.0.
+double FitFromParts(double x_sq, double inner, double k_sq);
 
 }  // namespace tpcp
 

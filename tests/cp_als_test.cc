@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/synthetic.h"
 #include "tensor/norms.h"
@@ -153,6 +154,105 @@ TEST(CpAlsTest, TwoModeTensorIsMatrixFactorization) {
   options.max_iterations = 80;
   const KruskalTensor k = CpAls(x, options);
   EXPECT_GT(Fit(x, k), 0.999);
+}
+
+DenseTensor NoisyLowRank(const Shape& shape, int64_t rank, uint64_t seed,
+                         double density = 1.0) {
+  LowRankSpec spec;
+  spec.shape = shape;
+  spec.rank = rank;
+  spec.noise_level = 0.1;
+  spec.density = density;
+  spec.seed = seed;
+  return MakeLowRankTensor(spec);
+}
+
+// The sweep's fit (from the last MTTKRP and the Grams) against an explicit
+// Fit of the factors after each iteration: a run capped at `it`
+// iterations replays the first `it` sweeps of the full run exactly.
+template <typename TensorT>
+void ExpectTraceMatchesExplicitFit(const TensorT& x, CpAlsOptions options,
+                                   const char* label) {
+  options.fit_tolerance = -1.0;
+  CpAlsReport full;
+  CpAls(x, options, &full);
+  ASSERT_EQ(static_cast<int>(full.fit_trace.size()), options.max_iterations);
+  for (int it = 1; it <= options.max_iterations; ++it) {
+    CpAlsOptions capped = options;
+    capped.max_iterations = it;
+    const KruskalTensor k = CpAls(x, capped);
+    EXPECT_NEAR(full.fit_trace[static_cast<size_t>(it - 1)], Fit(x, k), 1e-10)
+        << label << " iteration " << it;
+  }
+}
+
+TEST(CpAlsTest, FitTraceMatchesExplicitFitEveryIteration) {
+  CpAlsOptions options;
+  options.rank = 3;
+  options.max_iterations = 6;
+  options.seed = 17;
+  ExpectTraceMatchesExplicitFit(NoisyLowRank(Shape({9, 7, 8}), 3, 21),
+                                options, "dense 3-way");
+  ExpectTraceMatchesExplicitFit(NoisyLowRank(Shape({5, 4, 6, 3}), 3, 22),
+                                options, "dense 4-way");
+  ExpectTraceMatchesExplicitFit(
+      SparseTensor::FromDense(NoisyLowRank(Shape({10, 9, 8}), 3, 23, 0.3)),
+      options, "sparse");
+  CpAlsOptions ridge = options;
+  ridge.rank = 5;
+  ridge.ridge = 0.05;
+  ExpectTraceMatchesExplicitFit(NoisyLowRank(Shape({6, 5, 7}), 2, 24), ridge,
+                                "dense ridge");
+}
+
+TEST(CpAlsTest, ExactFitWhoseResidualCancelsReportsOne) {
+  // An exact rank-1 input recovered to rounding: the residual
+  // ||X||² - 2<X, Y> + ||Y||² cancels to <= 0 and the fit reports exactly
+  // 1.0, never above it and never NaN.
+  const DenseTensor x = ExactLowRank(Shape({6, 5, 4}), 1, 1);
+  CpAlsOptions options;
+  options.rank = 1;
+  options.max_iterations = 20;
+  options.fit_tolerance = -1.0;
+  CpAlsReport report;
+  const KruskalTensor k = CpAls(x, options, &report);
+  EXPECT_GT(Fit(x, k), 1.0 - 1e-6);
+  for (double fit : report.fit_trace) {
+    EXPECT_FALSE(std::isnan(fit));
+    EXPECT_LE(fit, 1.0);
+  }
+  EXPECT_EQ(report.fit_trace.back(), 1.0);
+}
+
+TEST(CpAlsTest, SharedPartialSweepBitIdenticalAcrossKernelVariants) {
+  // The 3-way sweep (shared partial T = X x_3 C, then TN for mode 2) and
+  // the generic 4-way sweep give the same bytes under scalar and SIMD
+  // kernels: factors and every fit in the trace.
+  CpAlsOptions options;
+  options.rank = 6;
+  options.max_iterations = 5;
+  options.fit_tolerance = -1.0;
+  for (const Shape& shape : {Shape({11, 9, 13}), Shape({5, 4, 6, 3})}) {
+    const DenseTensor x = NoisyLowRank(shape, 4, 31, 0.6);
+    CpAlsReport rs, rv;
+    const KruskalTensor ks =
+        CpAlsVariant(x, options, KernelVariant::kScalar, &rs);
+    const KruskalTensor kv =
+        CpAlsVariant(x, options, KernelVariant::kSimd, &rv);
+    ASSERT_EQ(rs.fit_trace.size(), rv.fit_trace.size());
+    for (size_t i = 0; i < rs.fit_trace.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&rs.fit_trace[i], &rv.fit_trace[i],
+                            sizeof(double)),
+                0)
+          << shape.ToString() << " fit " << i;
+    }
+    for (int m = 0; m < shape.num_modes(); ++m) {
+      EXPECT_EQ(std::memcmp(ks.factor(m).data(), kv.factor(m).data(),
+                            static_cast<size_t>(ks.factor(m).ByteSize())),
+                0)
+          << shape.ToString() << " factor " << m;
+    }
+  }
 }
 
 TEST(AlsFactorUpdateTest, SolvesNormalEquations) {

@@ -31,6 +31,10 @@
 // chaos-smoke jobs.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <map>
 #include <memory>
@@ -43,6 +47,7 @@
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
+#include "dist/exchange.h"
 #include "dist/faulty_channel.h"
 #include "dist/worker.h"
 #include "grid/block_tensor_store.h"
@@ -229,6 +234,28 @@ int64_t CrashPosInSecondVi(const ExecutionPlan& plan, int64_t rank) {
     if (dplan.OwnerAt(pos) == 1) return pos;
   }
   return -1;
+}
+
+bool NoDelayOn(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value != 0;
+}
+
+TEST(DistChannelTest, BothEndsDisableNagle) {
+  // Small protocol frames must not wait for the peer's delayed ACK: the
+  // accepted and the connected socket both carry TCP_NODELAY.
+  int port = 0;
+  auto listen_fd = DistListen(&port);
+  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
+  auto client = DistConnect(port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto server = DistAccept(*listen_fd, 5000);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  EXPECT_TRUE(NoDelayOn((*client)->fd()));
+  EXPECT_TRUE(NoDelayOn((*server)->fd()));
+  ::close(*listen_fd);
 }
 
 TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {

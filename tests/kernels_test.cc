@@ -233,6 +233,23 @@ TEST(KernelsTest, MttkrpRowKernelsBitIdenticalAcrossLengths) {
     MttkrpAccum(ds.data(), r2.data(), f, KernelVariant::kScalar);
     MttkrpAccum(dv.data(), r2.data(), f, KernelVariant::kSimd);
     ASSERT_TRUE(BitsEqual(ds.data(), dv.data(), f)) << "accum f=" << f;
+
+    // Fold: every third partial entry is a signed zero facing an infinite
+    // weight; those entries are skipped (no update), the rest accumulate.
+    std::vector<double> w = r1, p = r2;
+    for (int64_t c = 0; c < f; c += 3) {
+      p[static_cast<size_t>(c)] = c % 2 == 0 ? 0.0 : -0.0;
+      w[static_cast<size_t>(c)] = std::numeric_limits<double>::infinity();
+    }
+    ds = d0;
+    dv = d0;
+    MttkrpFold(ds.data(), w.data(), p.data(), f, KernelVariant::kScalar);
+    MttkrpFold(dv.data(), w.data(), p.data(), f, KernelVariant::kSimd);
+    ASSERT_TRUE(BitsEqual(ds.data(), dv.data(), f)) << "fold f=" << f;
+    for (int64_t c = 0; c < f; c += 3) {
+      ASSERT_TRUE(BitsEqual(ds.data() + c, d0.data() + c, 1))
+          << "fold skip f=" << f << " c=" << c;
+    }
   }
 }
 
@@ -306,6 +323,23 @@ TEST(KernelsTest, MttkrpVariantsBitIdenticalAcrossBackends) {
     // COO and CSF stream the same non-zeros in the same lexicographic
     // order, so the two sparse layouts are bit-identical too.
     EXPECT_TRUE(BitsEqual(ss, cs)) << "coo-vs-csf mode=" << mode;
+  }
+  const Matrix ts = MttkrpPartial3(dense, f[2], KernelVariant::kScalar);
+  EXPECT_TRUE(BitsEqual(ts, MttkrpPartial3(dense, f[2], KernelVariant::kSimd)));
+  for (int mode = 0; mode < 2; ++mode) {
+    EXPECT_TRUE(BitsEqual(
+        MttkrpFromPartial3(ts, f, mode, KernelVariant::kScalar),
+        MttkrpFromPartial3(ts, f, mode, KernelVariant::kSimd)))
+        << "partial mode=" << mode;
+  }
+  const Shape shape4({3, 5, 2, 7});
+  const DenseTensor dense4 = RandomTensor(shape4, 42, 0.5);
+  const std::vector<Matrix> f4 = RandomFactorsFor(shape4, 9, 43);
+  for (int mode = 0; mode < 4; ++mode) {
+    EXPECT_TRUE(
+        BitsEqual(MttkrpVariant(dense4, f4, mode, KernelVariant::kScalar),
+                  MttkrpVariant(dense4, f4, mode, KernelVariant::kSimd)))
+        << "dense 4-way mode=" << mode;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "linalg/blas.h"
 #include "tensor/khatri_rao.h"
 #include "tensor/unfold.h"
@@ -164,6 +166,93 @@ TEST(MttkrpTest, RankOneFactorsKnownResult) {
   }
 }
 
+TEST(MttkrpTest, OneModeTensorIsScaledCopy) {
+  // No other mode: the Khatri-Rao product is a row of ones, so every
+  // column of M is the tensor itself.
+  const Shape shape({5});
+  const DenseTensor t = RandomTensor(shape, 13, /*zero_fraction=*/0.4);
+  const std::vector<Matrix> f = RandomFactorsFor(shape, 3, 14);
+  const Matrix m = Mttkrp(t, f, 0);
+  ASSERT_EQ(m.rows(), 5);
+  for (int64_t i = 0; i < 5; ++i) {
+    for (int64_t c = 0; c < 3; ++c) EXPECT_EQ(m(i, c), t.at_linear(i));
+  }
+}
+
+TEST(MttkrpTest, SharedPartialMatchesReference) {
+  // The 3-way sweep folds T = X x_3 C for modes 0 and 1; mode 1 replays
+  // the two-step kernel's arithmetic exactly.
+  const Shape shape({5, 4, 6});
+  const DenseTensor t = RandomTensor(shape, 23, /*zero_fraction=*/0.3);
+  const std::vector<Matrix> f = RandomFactorsFor(shape, 7, 24);
+  const Matrix partial = MttkrpPartial3(t, f[2], KernelVariant::kSimd);
+  ASSERT_EQ(partial.rows(), 20);
+  for (int mode = 0; mode < 2; ++mode) {
+    const Matrix m = MttkrpFromPartial3(partial, f, mode, KernelVariant::kSimd);
+    EXPECT_TRUE(Matrix::AlmostEqual(m, ReferenceMttkrp(t, f, mode), 1e-10))
+        << "mode=" << mode;
+  }
+  EXPECT_TRUE(MttkrpFromPartial3(partial, f, 1, KernelVariant::kSimd) ==
+              Mttkrp(t, f, 1));
+}
+
+// A random tensor whose slice `hole` of mode `k` is zero, and factors
+// whose row `hole` of factor k is +inf (with_inf) or 0 (with_zero).
+struct HoledCase {
+  DenseTensor tensor;
+  std::vector<Matrix> with_inf;
+  std::vector<Matrix> with_zero;
+};
+
+HoledCase MakeHoledCase(const Shape& shape, int k, int64_t hole,
+                        int64_t rank, uint64_t seed) {
+  HoledCase h{RandomTensor(shape, seed, /*zero_fraction=*/0.3),
+              RandomFactorsFor(shape, rank, seed + 1), {}};
+  for (int64_t i = 0; i < h.tensor.NumElements(); ++i) {
+    if (shape.MultiIndex(i)[static_cast<size_t>(k)] == hole) {
+      h.tensor.at_linear(i) = 0.0;
+    }
+  }
+  h.with_zero = h.with_inf;
+  for (int64_t c = 0; c < rank; ++c) {
+    h.with_inf[static_cast<size_t>(k)](hole, c) =
+        std::numeric_limits<double>::infinity();
+    h.with_zero[static_cast<size_t>(k)](hole, c) = 0.0;
+  }
+  return h;
+}
+
+TEST(MttkrpTest, ZeroCellsContributeNothingAgainstInfFactors) {
+  // Every cell that meets the inf row is zero, so each other mode's
+  // MTTKRP must stay finite and equal the result with that row zeroed —
+  // through the two-step kernel and through the shared 3-way partial.
+  const Shape shape({4, 3, 5, 2});
+  for (int k = 0; k < shape.num_modes(); ++k) {
+    const HoledCase h = MakeHoledCase(shape, k, 1, 5, 25);
+    for (int mode = 0; mode < shape.num_modes(); ++mode) {
+      if (mode == k) continue;
+      EXPECT_TRUE(Mttkrp(h.tensor, h.with_inf, mode) ==
+                  Mttkrp(h.tensor, h.with_zero, mode))
+          << "inf mode=" << k << " mttkrp mode=" << mode;
+    }
+  }
+  const Shape shape3({3, 4, 5});
+  const auto via_partial = [](const DenseTensor& t,
+                              const std::vector<Matrix>& f, int mode) {
+    return MttkrpFromPartial3(MttkrpPartial3(t, f[2], KernelVariant::kSimd),
+                              f, mode, KernelVariant::kSimd);
+  };
+  for (int k = 0; k < 3; ++k) {
+    const HoledCase h = MakeHoledCase(shape3, k, 1, 6, 27);
+    for (int mode = 0; mode < 2; ++mode) {
+      if (mode == k) continue;
+      EXPECT_TRUE(via_partial(h.tensor, h.with_inf, mode) ==
+                  via_partial(h.tensor, h.with_zero, mode))
+          << "inf mode=" << k << " partial mode=" << mode;
+    }
+  }
+}
+
 struct MttkrpCase {
   std::vector<int64_t> dims;
   int64_t rank;
@@ -188,7 +277,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MttkrpCase{{2, 2}, 1}, MttkrpCase{{5, 4}, 3},
                       MttkrpCase{{2, 3, 4}, 2}, MttkrpCase{{7, 3, 2}, 6},
                       MttkrpCase{{2, 2, 2, 2}, 3},
-                      MttkrpCase{{1, 6, 2}, 2}));
+                      MttkrpCase{{3, 4, 2, 5}, 7},
+                      MttkrpCase{{1, 6, 2}, 2}, MttkrpCase{{3, 1, 4}, 5},
+                      MttkrpCase{{4, 5, 1}, 3}, MttkrpCase{{1, 4, 1, 3}, 2},
+                      MttkrpCase{{1, 1, 1}, 4}, MttkrpCase{{6, 7, 8}, 10}));
 
 }  // namespace
 }  // namespace tpcp

@@ -29,6 +29,36 @@ TEST(Crc32Test, SensitiveToEveryByte) {
   }
 }
 
+// Byte-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven implementation must reproduce.
+uint32_t BitwiseCrc32(const uint8_t* bytes, size_t n, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesByteAtATimeAtEveryLengthAndAlignment) {
+  Rng rng(42);
+  std::vector<uint8_t> buffer(4097 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextUint64());
+  for (int offset : {0, 1, 3, 6}) {
+    for (size_t n = 0; n <= 4097; ++n) {
+      const uint8_t* start = buffer.data() + offset;
+      ASSERT_EQ(Crc32(start, n), BitwiseCrc32(start, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+  // Continuing a running checksum equals checksumming the concatenation.
+  const uint32_t head = Crc32(buffer.data() + 1, 13);
+  EXPECT_EQ(Crc32(buffer.data() + 14, 1000, head),
+            BitwiseCrc32(buffer.data() + 1, 1013));
+}
+
 class EnvTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
