@@ -8,8 +8,8 @@
 // resumable, then surface Status::Cancelled to the caller.
 //
 // The token is attached through TwoPhaseCpOptions::cancel (non-owning, like
-// the observer) and threads through TwoPhaseCp, Phase1ViaMapReduce,
-// Phase2Engine and the prefetch pipeline.
+// the observer) and threads through TwoPhaseCp, Phase2Engine and the
+// prefetch pipeline.
 
 #ifndef TPCP_CORE_CANCELLATION_H_
 #define TPCP_CORE_CANCELLATION_H_

@@ -9,6 +9,24 @@
 #include "util/stopwatch.h"
 
 namespace tpcp {
+namespace {
+
+// Reads and decomposes one block. Dense slabs run the dense sweep; COO
+// and CSF slabs run CP-ALS on their non-zeros, which replays the dense
+// sweep's accumulation order and so yields the same bits.
+Result<KruskalTensor> DecomposeBlock(const BlockTensorStore& input,
+                                     const BlockIndex& block,
+                                     const CpAlsOptions& als,
+                                     CpAlsReport* report) {
+  if (input.format() == SlabFormat::kDense) {
+    TPCP_ASSIGN_OR_RETURN(const DenseTensor chunk, input.ReadBlock(block));
+    return CpAls(chunk, als, report);
+  }
+  TPCP_ASSIGN_OR_RETURN(const CsfTensor chunk, input.ReadBlockCsf(block));
+  return CpAls(chunk, als, report);
+}
+
+}  // namespace
 
 TwoPhaseCp::TwoPhaseCp(BlockTensorStore* input, BlockFactorStore* factors,
                        TwoPhaseCpOptions options)
@@ -49,16 +67,17 @@ Status TwoPhaseCp::RunPhase1(ThreadPool* pool) {
       std::lock_guard<std::mutex> lock(mu);
       if (!first_error.ok()) return;
     }
-    auto chunk = input_->ReadBlock(block);
-    if (!chunk.ok()) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (first_error.ok()) first_error = chunk.status();
-      return;
-    }
     CpAlsOptions local = als;
     local.seed = options_.seed + 0x9e37u * static_cast<uint64_t>(i + 1);
     CpAlsReport report;
-    KruskalTensor sub = CpAls(*chunk, local, &report);
+    Result<KruskalTensor> decomposed =
+        DecomposeBlock(*input_, block, local, &report);
+    if (!decomposed.ok()) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (first_error.ok()) first_error = decomposed.status();
+      return;
+    }
+    KruskalTensor& sub = decomposed.value();
     // Spread lambda evenly across modes so stored factors carry the full
     // magnitude (U-products reconstruct the block without a weight vector).
     for (int64_t c = 0; c < sub.rank(); ++c) {

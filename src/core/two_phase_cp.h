@@ -49,14 +49,16 @@ class TwoPhaseCp {
              TwoPhaseCpOptions options);
 
   /// Phase 1: decompose every block independently (optionally in parallel).
+  /// Sparse (COO/CSF) slabs are decomposed on their non-zeros without
+  /// densifying; the block factors are byte-identical across slab formats.
   /// With options.cancel set, the token is polled between blocks and the
   /// phase returns Status::Cancelled; already-written block factors are
   /// simply rewritten (deterministically) by the next attempt.
   Status RunPhase1(ThreadPool* pool = nullptr);
 
   /// Marks Phase 1 as already completed — the block factors were staged
-  /// into the factor store externally (e.g. by Phase1ViaMapReduce, or
-  /// copied from another run). RunPhase2 may then be called directly.
+  /// into the factor store externally (e.g. copied from another run).
+  /// RunPhase2 may then be called directly.
   void AssumePhase1Factors() { phase1_done_ = true; }
 
   /// Phase 2: schedule-driven iterative refinement under the buffer budget,

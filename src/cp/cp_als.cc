@@ -9,23 +9,18 @@ namespace tpcp {
 namespace {
 
 // The MTTKRP of `mode` within one ALS sweep (modes in ascending order).
-// A dense 3-way tensor contracts its last mode once per sweep, at mode 0,
-// into `partial`; modes 0 and 1 fold that partial, mode 2 runs the plain
-// kernel. Other tensors run the plain kernel for every mode.
-Matrix SweepMttkrp(const DenseTensor& tensor,
-                   const std::vector<Matrix>& factors, int mode,
-                   KernelVariant variant, Matrix* partial) {
+// A 3-way tensor contracts its last mode once per sweep, at mode 0, into
+// `partial`; modes 0 and 1 fold that partial, mode 2 runs the plain
+// kernel. Other tensors run the plain kernel for every mode. Dense and
+// CSF overloads of each kernel are bit-identical, so the sweep is too.
+template <typename TensorT>
+Matrix SweepMttkrp(const TensorT& tensor, const std::vector<Matrix>& factors,
+                   int mode, KernelVariant variant, Matrix* partial) {
   if (tensor.num_modes() != 3 || mode == 2) {
     return MttkrpVariant(tensor, factors, mode, variant);
   }
   if (mode == 0) *partial = MttkrpPartial3(tensor, factors[2], variant);
   return MttkrpFromPartial3(*partial, factors, mode, variant);
-}
-
-Matrix SweepMttkrp(const SparseTensor& tensor,
-                   const std::vector<Matrix>& factors, int mode,
-                   KernelVariant variant, Matrix* /*partial*/) {
-  return MttkrpVariant(tensor, factors, mode, variant);
 }
 
 // Sum of the Hadamard product of all Grams: ||[[A_0, ..., A_{N-1}]]||².
@@ -121,12 +116,23 @@ KruskalTensor CpAls(const DenseTensor& tensor, const CpAlsOptions& options,
   return CpAlsImpl(tensor, options, KernelVariant::kSimd, report);
 }
 
-KruskalTensor CpAls(const SparseTensor& tensor, const CpAlsOptions& options,
+KruskalTensor CpAls(const CsfTensor& tensor, const CpAlsOptions& options,
                     CpAlsReport* report) {
   return CpAlsImpl(tensor, options, KernelVariant::kSimd, report);
 }
 
+KruskalTensor CpAls(const SparseTensor& tensor, const CpAlsOptions& options,
+                    CpAlsReport* report) {
+  return CpAls(CsfTensor::FromSparse(tensor), options, report);
+}
+
 KruskalTensor CpAlsVariant(const DenseTensor& tensor,
+                           const CpAlsOptions& options, KernelVariant variant,
+                           CpAlsReport* report) {
+  return CpAlsImpl(tensor, options, variant, report);
+}
+
+KruskalTensor CpAlsVariant(const CsfTensor& tensor,
                            const CpAlsOptions& options, KernelVariant variant,
                            CpAlsReport* report) {
   return CpAlsImpl(tensor, options, variant, report);

@@ -40,14 +40,23 @@ struct CpAlsReport {
 KruskalTensor CpAls(const DenseTensor& tensor, const CpAlsOptions& options,
                     CpAlsReport* report = nullptr);
 
-/// Runs CP-ALS on a sparse tensor.
+/// Runs CP-ALS on the non-zeros of a CSF tensor. The sweep replays the
+/// dense kernels' accumulation order (tensor/mttkrp.h), so factors, lambda
+/// and fit trace are bit-identical to CpAls on the densified tensor.
+KruskalTensor CpAls(const CsfTensor& tensor, const CpAlsOptions& options,
+                    CpAlsReport* report = nullptr);
+
+/// Runs CP-ALS on a sparse tensor: CpAls(CsfTensor::FromSparse(tensor)).
 KruskalTensor CpAls(const SparseTensor& tensor, const CpAlsOptions& options,
                     CpAlsReport* report = nullptr);
 
-/// Dense CP-ALS with an explicit kernel variant (linalg/kernels.h) for its
+/// CP-ALS with an explicit kernel variant (linalg/kernels.h) for its
 /// MTTKRPs — the hook the scalar/SIMD bit-identity tests use. CpAls
 /// dispatches kSimd.
 KruskalTensor CpAlsVariant(const DenseTensor& tensor,
+                           const CpAlsOptions& options, KernelVariant variant,
+                           CpAlsReport* report = nullptr);
+KruskalTensor CpAlsVariant(const CsfTensor& tensor,
                            const CpAlsOptions& options, KernelVariant variant,
                            CpAlsReport* report = nullptr);
 

@@ -52,8 +52,11 @@ std::vector<Matrix> InitFactors(const DenseTensor& tensor, int64_t rank,
   return RandomFactors(tensor.shape(), rank, seed);
 }
 
-std::vector<Matrix> InitFactors(const SparseTensor& tensor, int64_t rank,
-                                InitMethod /*method*/, uint64_t seed) {
+std::vector<Matrix> InitFactors(const CsfTensor& tensor, int64_t rank,
+                                InitMethod method, uint64_t seed) {
+  if (method == InitMethod::kHosvd) {
+    return HosvdFactors(tensor.ToDense(), rank, seed);
+  }
   return RandomFactors(tensor.shape(), rank, seed);
 }
 

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "tensor/csf_tensor.h"
 #include "tensor/dense_tensor.h"
-#include "tensor/sparse_tensor.h"
 
 namespace tpcp {
 
@@ -28,11 +28,11 @@ std::vector<Matrix> RandomFactors(const Shape& shape, int64_t rank,
 std::vector<Matrix> HosvdFactors(const DenseTensor& tensor, int64_t rank,
                                  uint64_t seed);
 
-/// Builds factors per `method`. Sparse tensors always use kRandom (an HOSVD
-/// of a sparse tensor would densify; the paper's workloads do not need it).
+/// Builds factors per `method`. A CSF tensor honours kHosvd by densifying
+/// once, for the init only, so its factors equal the dense tensor's.
 std::vector<Matrix> InitFactors(const DenseTensor& tensor, int64_t rank,
                                 InitMethod method, uint64_t seed);
-std::vector<Matrix> InitFactors(const SparseTensor& tensor, int64_t rank,
+std::vector<Matrix> InitFactors(const CsfTensor& tensor, int64_t rank,
                                 InitMethod method, uint64_t seed);
 
 }  // namespace tpcp

@@ -117,6 +117,13 @@ Result<DenseTensor> BlockTensorStore::ReadBlock(const BlockIndex& block) const {
   return ReadTensorAny(env_, BlockFileName(block));
 }
 
+Result<CsfTensor> BlockTensorStore::ReadBlockCsf(
+    const BlockIndex& block) const {
+  std::string bytes;
+  TPCP_RETURN_IF_ERROR(env_->ReadFile(BlockFileName(block), &bytes));
+  return DeserializeCsfAny(bytes);
+}
+
 Result<SparseTensor> BlockTensorStore::ReadBlockSparse(
     const BlockIndex& block) const {
   std::string bytes;

@@ -7,8 +7,9 @@
 // Blocks are encoded per the store's SlabFormat (dense row-major, sparse
 // COO, or compressed sparse fiber) — a store-wide property recorded in the
 // manifest. Reads auto-detect the record kind, so any consumer opens any
-// format and ReadBlock always materializes the same dense bits regardless
-// of encoding.
+// format: ReadBlock materializes the same dense bits regardless of
+// encoding, and ReadBlockCsf hands sparse slabs to Phase 1 without
+// densifying them.
 
 #ifndef TPCP_GRID_BLOCK_TENSOR_STORE_H_
 #define TPCP_GRID_BLOCK_TENSOR_STORE_H_
@@ -19,6 +20,7 @@
 #include "grid/grid_partition.h"
 #include "grid/slab_format.h"
 #include "storage/env.h"
+#include "tensor/csf_tensor.h"
 #include "tensor/dense_tensor.h"
 #include "tensor/sparse_tensor.h"
 #include "util/status.h"
@@ -56,10 +58,17 @@ class BlockTensorStore {
   Status WriteBlock(const BlockIndex& block, const DenseTensor& data);
 
   /// Reads one block back as a dense tensor, whatever its encoding. The
-  /// sparse decodings visit non-zeros in lexicographic order — the same
-  /// cells the dense record stores — so the returned bits are identical
-  /// across formats.
+  /// sparse decodings hold exactly the non-zero cells the dense record
+  /// stores, so the returned bits are identical across formats. Phase 1
+  /// reads dense slabs this way and sparse ones through ReadBlockCsf; its
+  /// factors match across formats because the CSF ALS sweep replays the
+  /// dense kernels' accumulation order, not because of this densify.
   Result<DenseTensor> ReadBlock(const BlockIndex& block) const;
+
+  /// Reads one block as a CSF tensor without densifying: CSF records
+  /// decode as stored (validated), COO records compress through
+  /// CsfTensor::FromSparse, dense records through their non-zero cells.
+  Result<CsfTensor> ReadBlockCsf(const BlockIndex& block) const;
 
   /// Reads one block as a COO tensor without densifying: sparse records
   /// decode directly (CSF expands in lexicographic order), dense records

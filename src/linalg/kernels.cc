@@ -285,6 +285,27 @@ void MttkrpFold(double* dst, const double* w, const double* p, int64_t f,
   }
 }
 
+void MttkrpLeaves(double* dst, int64_t ldd, const double* x, int64_t ldx,
+                  const double* v, const int64_t* rows, int64_t count,
+                  int64_t f, KernelVariant variant) {
+  const bool vec = simd::kEnabled && variant == KernelVariant::kSimd;
+  for (int64_t e = 0; e < count; ++e) {
+    if (v[e] == 0.0) continue;
+    double* d = dst + rows[e] * ldd;
+    const double* xr = x + rows[e] * ldx;
+    int64_t c = 0;
+    if (vec) {
+      constexpr int64_t kW = simd::kWidth;
+      const simd::VecD vv = simd::Broadcast(v[e]);
+      for (; c + kW <= f; c += kW) {
+        simd::Store(d + c,
+                    simd::MulAdd(vv, simd::Load(xr + c), simd::Load(d + c)));
+      }
+    }
+    for (; c < f; ++c) d[c] += v[e] * xr[c];
+  }
+}
+
 void MttkrpSeed(double* prod, double v, const double* row, int64_t f,
                 KernelVariant variant) {
   int64_t c = 0;

@@ -72,6 +72,17 @@ void MttkrpRow3(double* dst, double v, const double* r1, const double* r2,
 void MttkrpFold(double* dst, const double* w, const double* p, int64_t f,
                 KernelVariant variant);
 
+/// For each e in [0, count) in turn, unless v[e] == 0:
+///   dst[rows[e] * ldd + c] += v[e] * x[rows[e] * ldx + c], c in [0, f)
+/// — one Gemm-microkernel step per entry, with its per-element arithmetic
+/// and zero-skip. The CSF MTTKRP runs one fiber's leaves through it: with
+/// ldd = 0 they gather into one partial row, with ldx = 0 one Khatri-Rao
+/// row scatters over output rows. Either way the result matches the
+/// dense contraction bit for bit.
+void MttkrpLeaves(double* dst, int64_t ldd, const double* x, int64_t ldx,
+                  const double* v, const int64_t* rows, int64_t count,
+                  int64_t f, KernelVariant variant);
+
 /// prod[c] = v * row[c] — the fused product-buffer seed of the generic
 /// MTTKRP paths.
 void MttkrpSeed(double* prod, double v, const double* row, int64_t f,

@@ -1,6 +1,7 @@
 #include "storage/serializer.h"
 
 #include <cstring>
+#include <utility>
 
 #include "storage/crc32.h"
 
@@ -75,8 +76,11 @@ class Reader {
   }
 
   bool ReadDoubles(double* out, size_t count) {
+    if (count > remaining() / sizeof(double)) return false;
+    // memcpy from or to a null pointer is undefined even for zero bytes,
+    // and an empty vector's data() may be null.
+    if (count == 0) return true;
     const size_t n = count * sizeof(double);
-    if (pos_ + n > bytes_.size()) return false;
     std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
     return true;
@@ -96,7 +100,9 @@ class Reader {
     return false;
   }
 
-  size_t pos() const { return pos_; }
+  /// Bytes left after the cursor — the bound every header count is
+  /// checked against before it sizes an allocation.
+  size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
   const std::string& bytes_;
@@ -148,7 +154,7 @@ Status CheckEnvelope(const std::string& bytes, uint8_t expected_kind,
   return Status::OK();
 }
 
-// Shared header tail: dims for a sparse record (all must be positive).
+// Shared header tail: the dims of a tensor record (all must be positive).
 Status ReadShapeDims(Reader* reader, uint32_t ndims,
                      std::vector<int64_t>* dims) {
   dims->resize(ndims);
@@ -160,15 +166,36 @@ Status ReadShapeDims(Reader* reader, uint32_t ndims,
   return Status::OK();
 }
 
-Result<SparseTensor> DeserializeSparseCooRecord(const std::string& bytes) {
-  Reader reader(bytes);
-  uint32_t ndims = 0;
-  TPCP_RETURN_IF_ERROR(
-      CheckEnvelope(bytes, kKindSparseCoo, &reader, &ndims));
+// Payload decoders: each runs after the envelope check, with `reader`
+// positioned on the dims. Every count is bounded by the bytes left before
+// it sizes a vector, so a corrupt header is a Status, never an
+// allocation failure.
+
+Result<DenseTensor> DecodeTensor(Reader* reader, uint32_t ndims) {
   std::vector<int64_t> dims;
-  TPCP_RETURN_IF_ERROR(ReadShapeDims(&reader, ndims, &dims));
+  TPCP_RETURN_IF_ERROR(ReadShapeDims(reader, ndims, &dims));
+  const uint64_t limit = reader->remaining() / sizeof(double);
+  uint64_t count = 1;
+  for (int64_t d : dims) {
+    if (static_cast<uint64_t>(d) > limit / count) {
+      return Status::Corruption("truncated tensor payload");
+    }
+    count *= static_cast<uint64_t>(d);
+  }
+  DenseTensor t{Shape(dims)};
+  if (!reader->ReadDoubles(t.data(), static_cast<size_t>(count))) {
+    return Status::Corruption("truncated tensor payload");
+  }
+  return t;
+}
+
+Result<SparseTensor> DecodeCoo(Reader* reader, uint32_t ndims) {
+  std::vector<int64_t> dims;
+  TPCP_RETURN_IF_ERROR(ReadShapeDims(reader, ndims, &dims));
   int64_t nnz = 0;
-  if (!reader.Read(&nnz) || nnz < 0) {
+  if (!reader->Read(&nnz) || nnz < 0 ||
+      static_cast<uint64_t>(nnz) >
+          reader->remaining() / ((ndims + 1) * sizeof(int64_t))) {
     return Status::Corruption("bad sparse nnz");
   }
   SparseTensor t{Shape(dims)};
@@ -177,7 +204,7 @@ Result<SparseTensor> DeserializeSparseCooRecord(const std::string& bytes) {
   for (int64_t e = 0; e < nnz; ++e) {
     for (uint32_t m = 0; m < ndims; ++m) {
       int64_t c = 0;
-      if (!reader.Read(&c) || c < 0 || c >= dims[m]) {
+      if (!reader->Read(&c) || c < 0 || c >= dims[m]) {
         return Status::Corruption("sparse coordinate out of range");
       }
       index[m] = c;
@@ -185,7 +212,7 @@ Result<SparseTensor> DeserializeSparseCooRecord(const std::string& bytes) {
     coords[static_cast<size_t>(e)] = index;
   }
   std::vector<double> values(static_cast<size_t>(nnz));
-  if (!reader.ReadDoubles(values.data(), values.size())) {
+  if (!reader->ReadDoubles(values.data(), values.size())) {
     return Status::Corruption("truncated sparse payload");
   }
   for (int64_t e = 0; e < nnz; ++e) {
@@ -193,6 +220,116 @@ Result<SparseTensor> DeserializeSparseCooRecord(const std::string& bytes) {
           values[static_cast<size_t>(e)]);
   }
   return t;
+}
+
+Result<CsfTensor> DecodeCsf(Reader* reader, uint32_t ndims) {
+  std::vector<int64_t> dims;
+  TPCP_RETURN_IF_ERROR(ReadShapeDims(reader, ndims, &dims));
+  const size_t n = ndims;
+  // Each index costs at least one varint byte and each value eight, so
+  // no count can exceed what is left of the record.
+  int64_t nnz = 0;
+  if (!reader->Read(&nnz) || nnz < 0 ||
+      static_cast<uint64_t>(nnz) > reader->remaining() / sizeof(double)) {
+    return Status::Corruption("bad sparse nnz");
+  }
+  std::vector<int64_t> num_nodes(n);
+  for (size_t l = 0; l < n; ++l) {
+    if (!reader->Read(&num_nodes[l]) || num_nodes[l] < 0 ||
+        static_cast<uint64_t>(num_nodes[l]) > reader->remaining()) {
+      return Status::Corruption("bad CSF node count");
+    }
+  }
+  if (num_nodes[n - 1] != nnz) {
+    return Status::Corruption("CSF leaf count != nnz");
+  }
+  std::vector<std::vector<int64_t>> idx(n);
+  for (size_t l = 0; l < n; ++l) {
+    idx[l].resize(static_cast<size_t>(num_nodes[l]));
+    int64_t prev = 0;
+    for (int64_t& v : idx[l]) {
+      uint64_t raw = 0;
+      if (!reader->ReadVarint(&raw)) {
+        return Status::Corruption("truncated CSF index array");
+      }
+      const int64_t delta = ZigZagDecode(raw);
+      if (delta < -prev || delta >= dims[l] - prev) {
+        return Status::Corruption("CSF coordinate out of range");
+      }
+      prev += delta;
+      v = prev;
+    }
+  }
+  // Pointers: monotone from 0 to the next level's node count.
+  std::vector<std::vector<int64_t>> ptr(n - 1);
+  for (size_t l = 0; l + 1 < n; ++l) {
+    ptr[l].resize(static_cast<size_t>(num_nodes[l]) + 1);
+    const uint64_t children = static_cast<uint64_t>(num_nodes[l + 1]);
+    int64_t prev = 0;
+    for (int64_t& v : ptr[l]) {
+      uint64_t raw = 0;
+      if (!reader->ReadVarint(&raw)) {
+        return Status::Corruption("truncated CSF pointer array");
+      }
+      if (raw > children - static_cast<uint64_t>(prev)) {
+        return Status::Corruption("CSF pointer array out of bounds");
+      }
+      prev += static_cast<int64_t>(raw);
+      v = prev;
+    }
+    if (ptr[l].front() != 0 || ptr[l].back() != num_nodes[l + 1]) {
+      return Status::Corruption("CSF pointer array out of bounds");
+    }
+  }
+  // Siblings strictly increase: entries are unique and in lexicographic
+  // order, which both the densify and the CSF MTTKRP rely on. Level 0 is
+  // one sibling run; below it, each parent's children are one.
+  for (size_t l = 0; l < n; ++l) {
+    const std::vector<int64_t>& ids = idx[l];
+    const std::vector<int64_t> whole = {0, num_nodes[l]};
+    const std::vector<int64_t>& runs = l == 0 ? whole : ptr[l - 1];
+    for (size_t r = 0; r + 1 < runs.size(); ++r) {
+      for (int64_t k = runs[r] + 1; k < runs[r + 1]; ++k) {
+        if (ids[static_cast<size_t>(k)] <= ids[static_cast<size_t>(k) - 1]) {
+          return Status::Corruption("CSF sibling indices not increasing");
+        }
+      }
+    }
+  }
+  std::vector<double> values(static_cast<size_t>(nnz));
+  if (!reader->ReadDoubles(values.data(), values.size())) {
+    return Status::Corruption("truncated CSF values");
+  }
+  return CsfTensor::FromLevels(Shape(dims), std::move(idx), std::move(ptr),
+                               std::move(values));
+}
+
+// Checks the envelope once and decodes whichever tensor kind the record
+// holds through `as_dense`, `as_coo` or `as_csf`.
+template <typename DenseFn, typename CooFn, typename CsfFn>
+auto DecodeAnyTensor(const std::string& bytes, DenseFn as_dense,
+                     CooFn as_coo, CsfFn as_csf)
+    -> decltype(as_dense(std::declval<DenseTensor>())) {
+  Reader reader(bytes);
+  uint8_t kind = 0;
+  uint32_t ndims = 0;
+  TPCP_RETURN_IF_ERROR(CheckEnvelopeAny(bytes, &reader, &kind, &ndims));
+  switch (kind) {
+    case kKindTensor: {
+      TPCP_ASSIGN_OR_RETURN(DenseTensor t, DecodeTensor(&reader, ndims));
+      return as_dense(std::move(t));
+    }
+    case kKindSparseCoo: {
+      TPCP_ASSIGN_OR_RETURN(SparseTensor t, DecodeCoo(&reader, ndims));
+      return as_coo(std::move(t));
+    }
+    case kKindSparseCsf: {
+      TPCP_ASSIGN_OR_RETURN(CsfTensor t, DecodeCsf(&reader, ndims));
+      return as_csf(std::move(t));
+    }
+    default:
+      return Status::Corruption("not a tensor record");
+  }
 }
 
 }  // namespace
@@ -210,6 +347,11 @@ Result<Matrix> DeserializeMatrix(const std::string& bytes) {
   if (!reader.Read(&rows) || !reader.Read(&cols) || rows < 0 || cols < 0) {
     return Status::Corruption("bad matrix dims");
   }
+  if (cols > 0 && static_cast<uint64_t>(rows) >
+                      reader.remaining() / sizeof(double) /
+                          static_cast<uint64_t>(cols)) {
+    return Status::Corruption("truncated matrix payload");
+  }
   Matrix m(rows, cols);
   if (!reader.ReadDoubles(m.data(), static_cast<size_t>(m.size()))) {
     return Status::Corruption("truncated matrix payload");
@@ -226,17 +368,7 @@ Result<DenseTensor> DeserializeTensor(const std::string& bytes) {
   Reader reader(bytes);
   uint32_t ndims = 0;
   TPCP_RETURN_IF_ERROR(CheckEnvelope(bytes, kKindTensor, &reader, &ndims));
-  std::vector<int64_t> dims(ndims);
-  for (uint32_t i = 0; i < ndims; ++i) {
-    if (!reader.Read(&dims[i]) || dims[i] <= 0) {
-      return Status::Corruption("bad tensor dims");
-    }
-  }
-  DenseTensor t{Shape(dims)};
-  if (!reader.ReadDoubles(t.data(), static_cast<size_t>(t.NumElements()))) {
-    return Status::Corruption("truncated tensor payload");
-  }
-  return t;
+  return DecodeTensor(&reader, ndims);
 }
 
 std::string SerializeSparseCoo(const SparseTensor& t) {
@@ -283,99 +415,36 @@ Result<CsfTensor> DeserializeSparseCsf(const std::string& bytes) {
   uint32_t ndims = 0;
   TPCP_RETURN_IF_ERROR(
       CheckEnvelope(bytes, kKindSparseCsf, &reader, &ndims));
-  std::vector<int64_t> dims;
-  TPCP_RETURN_IF_ERROR(ReadShapeDims(&reader, ndims, &dims));
-  const int n = static_cast<int>(ndims);
-  int64_t nnz = 0;
-  if (!reader.Read(&nnz) || nnz < 0) {
-    return Status::Corruption("bad sparse nnz");
-  }
-  std::vector<int64_t> num_nodes(ndims);
-  for (uint32_t l = 0; l < ndims; ++l) {
-    if (!reader.Read(&num_nodes[l]) || num_nodes[l] < 0) {
-      return Status::Corruption("bad CSF node count");
-    }
-  }
-  if (num_nodes[ndims - 1] != nnz) {
-    return Status::Corruption("CSF leaf count != nnz");
-  }
-  std::vector<std::vector<int64_t>> idx(ndims);
-  for (uint32_t l = 0; l < ndims; ++l) {
-    idx[l].resize(static_cast<size_t>(num_nodes[l]));
-    int64_t prev = 0;
-    for (int64_t& v : idx[l]) {
-      uint64_t raw = 0;
-      if (!reader.ReadVarint(&raw)) {
-        return Status::Corruption("truncated CSF index array");
-      }
-      prev += ZigZagDecode(raw);
-      if (prev < 0 || prev >= dims[l]) {
-        return Status::Corruption("CSF coordinate out of range");
-      }
-      v = prev;
-    }
-  }
-  std::vector<std::vector<int64_t>> ptr(n > 0 ? ndims - 1 : 0);
-  for (int l = 0; l + 1 < n; ++l) {
-    ptr[static_cast<size_t>(l)].resize(
-        static_cast<size_t>(num_nodes[static_cast<size_t>(l)]) + 1);
-    int64_t prev = 0;
-    for (int64_t& v : ptr[static_cast<size_t>(l)]) {
-      uint64_t raw = 0;
-      if (!reader.ReadVarint(&raw)) {
-        return Status::Corruption("truncated CSF pointer array");
-      }
-      prev += static_cast<int64_t>(raw);
-      v = prev;
-    }
-    const std::vector<int64_t>& p = ptr[static_cast<size_t>(l)];
-    if (p.front() != 0 || p.back() != num_nodes[static_cast<size_t>(l) + 1]) {
-      return Status::Corruption("CSF pointer array out of bounds");
-    }
-  }
-  std::vector<double> values(static_cast<size_t>(nnz));
-  if (!reader.ReadDoubles(values.data(), values.size())) {
-    return Status::Corruption("truncated CSF values");
-  }
-  return CsfTensor::FromLevels(Shape(dims), std::move(idx), std::move(ptr),
-                               std::move(values));
+  return DecodeCsf(&reader, ndims);
 }
 
 Result<SparseTensor> DeserializeSparse(const std::string& bytes) {
-  Result<uint8_t> kind = PeekRecordKind(bytes);
-  TPCP_RETURN_IF_ERROR(kind.status());
-  switch (kind.value()) {
-    case kKindSparseCoo:
-      return DeserializeSparseCooRecord(bytes);
-    case kKindSparseCsf: {
-      Result<CsfTensor> csf = DeserializeSparseCsf(bytes);
-      TPCP_RETURN_IF_ERROR(csf.status());
-      return csf.value().ToSparse();
-    }
-    default:
-      return Status::Corruption("not a sparse tensor record");
-  }
+  return DecodeAnyTensor(
+      bytes,
+      [](DenseTensor) -> Result<SparseTensor> {
+        return Status::Corruption("not a sparse tensor record");
+      },
+      [](SparseTensor t) -> Result<SparseTensor> { return t; },
+      [](CsfTensor t) -> Result<SparseTensor> { return t.ToSparse(); });
 }
 
 Result<DenseTensor> DeserializeTensorAny(const std::string& bytes) {
-  Result<uint8_t> kind = PeekRecordKind(bytes);
-  TPCP_RETURN_IF_ERROR(kind.status());
-  switch (kind.value()) {
-    case kKindTensor:
-      return DeserializeTensor(bytes);
-    case kKindSparseCoo: {
-      Result<SparseTensor> coo = DeserializeSparseCooRecord(bytes);
-      TPCP_RETURN_IF_ERROR(coo.status());
-      return coo.value().ToDense();
-    }
-    case kKindSparseCsf: {
-      Result<CsfTensor> csf = DeserializeSparseCsf(bytes);
-      TPCP_RETURN_IF_ERROR(csf.status());
-      return csf.value().ToDense();
-    }
-    default:
-      return Status::Corruption("not a tensor record");
-  }
+  return DecodeAnyTensor(
+      bytes, [](DenseTensor t) -> Result<DenseTensor> { return t; },
+      [](SparseTensor t) -> Result<DenseTensor> { return t.ToDense(); },
+      [](CsfTensor t) -> Result<DenseTensor> { return t.ToDense(); });
+}
+
+Result<CsfTensor> DeserializeCsfAny(const std::string& bytes) {
+  return DecodeAnyTensor(
+      bytes,
+      [](DenseTensor t) -> Result<CsfTensor> {
+        return CsfTensor::FromDense(t);
+      },
+      [](SparseTensor t) -> Result<CsfTensor> {
+        return CsfTensor::FromSparse(t);
+      },
+      [](CsfTensor t) -> Result<CsfTensor> { return t; });
 }
 
 Result<uint8_t> PeekRecordKind(const std::string& bytes) {

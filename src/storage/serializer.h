@@ -56,12 +56,19 @@ std::string SerializeSparseCsf(const CsfTensor& t);
 Result<SparseTensor> DeserializeSparse(const std::string& bytes);
 
 /// Decodes a CSF record (kind 4) without expanding the hierarchy.
+/// Corruption unless every pointer array is monotone and in range and
+/// sibling indices strictly increase.
 Result<CsfTensor> DeserializeSparseCsf(const std::string& bytes);
 
 /// Decodes any tensor record — dense (2), COO (3), or CSF (4) — to a
 /// dense tensor. The auto-detecting read path: callers need not know a
 /// block's slab format.
 Result<DenseTensor> DeserializeTensorAny(const std::string& bytes);
+
+/// Decodes any tensor record to CSF without densifying: a CSF record as
+/// stored, a COO record through CsfTensor::FromSparse, a dense record
+/// through its non-zero cells.
+Result<CsfTensor> DeserializeCsfAny(const std::string& bytes);
 
 /// Record kind byte of a well-formed record (crc + magic checked).
 Result<uint8_t> PeekRecordKind(const std::string& bytes);

@@ -12,13 +12,15 @@ CsfTensor CsfTensor::FromSparse(const SparseTensor& coo) {
   if (n > 1) out.ptr_.assign(static_cast<size_t>(n - 1), {});
   if (n == 0) return out;
 
-  // Sort entry order (not the entries themselves) lexicographically.
+  // Sort entry order (not the entries themselves) lexicographically;
+  // stable, so duplicates keep their stored order for the merge below.
   const std::vector<SparseEntry>& entries = coo.entries();
   std::vector<size_t> order(entries.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&entries](size_t a, size_t b) {
-    return entries[a].index < entries[b].index;
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&entries](size_t a, size_t b) {
+                     return entries[a].index < entries[b].index;
+                   });
 
   // Per-level child counts of the currently open node; prefix-summed into
   // ptr once all entries are placed.
@@ -28,6 +30,10 @@ CsfTensor CsfTensor::FromSparse(const SparseTensor& coo) {
   const Index* prev = nullptr;
   for (size_t oi : order) {
     const SparseEntry& e = entries[oi];
+    if (prev != nullptr && *prev == e.index) {
+      out.values_.back() += e.value;
+      continue;
+    }
     // First level whose coordinate diverges from the previous entry — new
     // nodes open from there down.
     int start = 0;
@@ -82,6 +88,12 @@ SparseTensor CsfTensor::ToSparse() const {
     out.Add(index, value);
   });
   return out;
+}
+
+double CsfTensor::SquaredNorm() const {
+  double acc = 0.0;
+  for (double v : values_) acc += v * v;
+  return acc;
 }
 
 DenseTensor CsfTensor::ToDense() const {

@@ -14,8 +14,9 @@
 //
 // Lexicographic order over the non-zeros is exactly row-major (linear)
 // order restricted to them, so ForEachEntry visits entries in the same
-// order as SparseTensor::FromDense produces — the property that keeps
-// CSF-driven MTTKRP bit-identical to the sorted COO path.
+// order as SparseTensor::FromDense produces — the property that lets the
+// CSF MTTKRP replay the dense kernels' accumulation order bit for bit
+// (tensor/mttkrp.h).
 
 #ifndef TPCP_TENSOR_CSF_TENSOR_H_
 #define TPCP_TENSOR_CSF_TENSOR_H_
@@ -48,17 +49,19 @@ class CsfTensor {
   }
   const std::vector<double>& values() const { return values_; }
 
-  /// Compresses a COO tensor (entries sorted lexicographically first;
-  /// coordinate uniqueness is the caller's invariant, as with
-  /// SparseTensor itself).
+  /// Compresses a COO tensor, entries sorted lexicographically first.
+  /// Entries sharing a coordinate merge into one leaf, summed in stored
+  /// order as SparseTensor::ToDense sums them, so sibling indices always
+  /// strictly increase.
   static CsfTensor FromSparse(const SparseTensor& coo);
 
   /// Compresses the non-zero cells of a dense tensor.
   static CsfTensor FromDense(const DenseTensor& dense);
 
   /// Reassembles from explicit level arrays — the deserializer's
-  /// constructor. Callers own structural validity (the serializer's reader
-  /// validates before calling).
+  /// constructor. Callers own structural validity: monotone in-range
+  /// pointers and strictly increasing sibling indices (the serializer's
+  /// reader validates both before calling).
   static CsfTensor FromLevels(Shape shape,
                               std::vector<std::vector<int64_t>> idx,
                               std::vector<std::vector<int64_t>> ptr,
@@ -69,6 +72,10 @@ class CsfTensor {
 
   /// Materializes to a dense tensor.
   DenseTensor ToDense() const;
+
+  /// Sum of squared values in leaf order — bit-identical to
+  /// DenseTensor::SquaredNorm of ToDense() (zero cells add nothing).
+  double SquaredNorm() const;
 
   /// Visits every non-zero as fn(const Index&, double), in lexicographic
   /// order. The Index reference is reused across calls.

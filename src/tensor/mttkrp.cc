@@ -1,5 +1,7 @@
 #include "tensor/mttkrp.h"
 
+#include <algorithm>
+
 #include "tensor/khatri_rao.h"
 
 namespace tpcp {
@@ -29,7 +31,7 @@ Matrix RowKhatriRao(const std::vector<Matrix>& factors, int begin, int end) {
   return kr;
 }
 
-// The per-non-zero body shared by every sparse layout: seed the product
+// The per-non-zero body of the generic COO path: seed the product
 // buffer fused with the first skipped-mode factor (prod = v * row_first —
 // identical rounding to seed-then-multiply, one pass cheaper), multiply
 // the remaining skipped modes in ascending-k order, accumulate into the
@@ -55,6 +57,97 @@ inline void AccumulateEntry(const Index& index, double v,
   }
   MttkrpAccum(out->row(index[static_cast<size_t>(mode)]), prod, f, variant);
 }
+
+// The dense two-step contraction (MttkrpVariant on a DenseTensor)
+// replayed over a CSF tensor's non-zeros. The fiber tree is visited in
+// lexicographic order, which is row-major order, so every output element
+// receives the same updates in the same order as in the dense kernel; the
+// cells CSF leaves out are zeros, which the dense kernels skip anyway.
+class CsfTwoStep {
+ public:
+  CsfTwoStep(const CsfTensor& tensor, const std::vector<Matrix>& factors,
+             int mode, KernelVariant variant, Matrix* out)
+      : tensor_(tensor),
+        factors_(factors),
+        mode_(mode),
+        last_(tensor.num_modes() - 1),
+        f_(factors[0].cols()),
+        variant_(variant),
+        out_(out),
+        right_(RowKhatriRao(factors, mode + 1, tensor.num_modes())),
+        ones_(static_cast<size_t>(f_), 1.0),
+        prefix_(static_cast<size_t>(tensor.num_modes() * f_)),
+        partial_(static_cast<size_t>(f_)) {}
+
+  void Run() { Prefix(0, 0, tensor_.num_nodes(0), ones_.data()); }
+
+ private:
+  // Nodes [begin, end) of `level` <= `mode`; kr is the KR_left row of
+  // their common index prefix (all ones at level 0). Each deeper prefix
+  // extends it as RowKhatriRao does: the first factor's row itself, then
+  // one product per further mode. At the last mode the nodes are one
+  // fiber's leaves, each a TN-kernel step out(i) += v * kr. Otherwise each
+  // node's subtree forms P = X(l, i, :) * KR_right, folded into out(i)
+  // with kr as the dense kernel does for every l.
+  void Prefix(int level, int64_t begin, int64_t end, const double* kr) {
+    const std::vector<int64_t>& idx = tensor_.idx(level);
+    if (level == last_) {
+      MttkrpLeaves(out_->data(), f_, kr, 0, tensor_.values().data() + begin,
+                   idx.data() + begin, end - begin, f_, variant_);
+      return;
+    }
+    const std::vector<int64_t>& ptr = tensor_.ptr(level);
+    for (int64_t k = begin; k < end; ++k) {
+      const int64_t i = idx[static_cast<size_t>(k)];
+      const int64_t child_begin = ptr[static_cast<size_t>(k)];
+      const int64_t child_end = ptr[static_cast<size_t>(k) + 1];
+      if (level < mode_) {
+        const double* row = factors_[static_cast<size_t>(level)].row(i);
+        if (level > 0) {
+          double* next = prefix_.data() + level * f_;
+          for (int64_t c = 0; c < f_; ++c) next[c] = kr[c] * row[c];
+          row = next;
+        }
+        Prefix(level + 1, child_begin, child_end, row);
+        continue;
+      }
+      std::fill(partial_.begin(), partial_.end(), 0.0);
+      Suffix(level + 1, child_begin, child_end, 0);
+      MttkrpFold(out_->row(i), kr, partial_.data(), f_, variant_);
+    }
+  }
+
+  // Nodes [begin, end) of `level` > `mode`; r is the KR_right row of their
+  // common index suffix so far. At the last level the nodes are one
+  // fiber's leaves, NN-kernel steps P += v * KR_right(r), ascending in r.
+  void Suffix(int level, int64_t begin, int64_t end, int64_t r) {
+    const std::vector<int64_t>& idx = tensor_.idx(level);
+    if (level == last_) {
+      MttkrpLeaves(partial_.data(), 0, right_.row(r * tensor_.dim(level)),
+                   f_, tensor_.values().data() + begin, idx.data() + begin,
+                   end - begin, f_, variant_);
+      return;
+    }
+    const std::vector<int64_t>& ptr = tensor_.ptr(level);
+    for (int64_t k = begin; k < end; ++k) {
+      Suffix(level + 1, ptr[static_cast<size_t>(k)],
+             ptr[static_cast<size_t>(k) + 1],
+             r * tensor_.dim(level) + idx[static_cast<size_t>(k)]);
+    }
+  }
+
+  const CsfTensor& tensor_;
+  const std::vector<Matrix>& factors_;
+  const int mode_;
+  const int last_;
+  const int64_t f_;
+  const KernelVariant variant_;
+  Matrix* out_;
+  const Matrix right_;
+  const std::vector<double> ones_;
+  std::vector<double> prefix_;  // level l: the KR_left row through l
+  std::vector<double> partial_;
+};
 
 }  // namespace
 
@@ -170,34 +263,39 @@ Matrix MttkrpVariant(const SparseTensor& tensor,
 Matrix MttkrpVariant(const CsfTensor& tensor,
                      const std::vector<Matrix>& factors, int mode,
                      KernelVariant variant) {
-  const Shape& shape = tensor.shape();
-  CheckFactorShapes(shape, factors, mode);
-  const int n = shape.num_modes();
-  const int64_t f = factors[0].cols();
-  Matrix out(shape.dim(mode), f);
-
-  if (n == 3) {
-    // Fiber-streaming 3-mode path: same per-entry expression as the COO
-    // specialization, entries visited in lexicographic order.
-    const int k1 = mode == 0 ? 1 : 0;
-    const int k2 = mode == 2 ? 1 : 2;
-    const Matrix& f1 = factors[static_cast<size_t>(k1)];
-    const Matrix& f2 = factors[static_cast<size_t>(k2)];
-    tensor.ForEachEntry([&](const Index& index, double v) {
-      MttkrpRow3(out.row(index[static_cast<size_t>(mode)]), v,
-                 f1.row(index[static_cast<size_t>(k1)]),
-                 f2.row(index[static_cast<size_t>(k2)]), f, variant);
-    });
-    return out;
-  }
-
-  std::vector<double> prod(static_cast<size_t>(f));
-  const int first = n == 1 ? -1 : (mode == 0 ? 1 : 0);
-  tensor.ForEachEntry([&](const Index& index, double v) {
-    AccumulateEntry(index, v, factors, mode, first, n, f, prod.data(), &out,
-                    variant);
-  });
+  CheckFactorShapes(tensor.shape(), factors, mode);
+  Matrix out(tensor.dim(mode), factors[0].cols());
+  CsfTwoStep(tensor, factors, mode, variant, &out).Run();
   return out;
+}
+
+Matrix MttkrpPartial3(const CsfTensor& tensor, const Matrix& last_factor,
+                      KernelVariant variant) {
+  TPCP_CHECK_EQ(tensor.num_modes(), 3);
+  TPCP_CHECK_EQ(last_factor.rows(), tensor.dim(2));
+  const int64_t f = last_factor.cols();
+  const int64_t dim1 = tensor.dim(1);
+  Matrix partial(tensor.dim(0) * dim1, f);
+  const std::vector<int64_t>& idx0 = tensor.idx(0);
+  const std::vector<int64_t>& idx1 = tensor.idx(1);
+  const std::vector<int64_t>& idx2 = tensor.idx(2);
+  const std::vector<int64_t>& ptr0 = tensor.ptr(0);
+  const std::vector<int64_t>& ptr1 = tensor.ptr(1);
+  const std::vector<double>& values = tensor.values();
+  // Row i*J + j of T gathers the (i, j) fiber's leaves in ascending k —
+  // the dense NN kernel's order for that row.
+  for (int64_t a = 0; a < tensor.num_nodes(0); ++a) {
+    const int64_t i = idx0[static_cast<size_t>(a)];
+    for (int64_t b = ptr0[static_cast<size_t>(a)];
+         b < ptr0[static_cast<size_t>(a) + 1]; ++b) {
+      const int64_t first = ptr1[static_cast<size_t>(b)];
+      MttkrpLeaves(partial.row(i * dim1 + idx1[static_cast<size_t>(b)]), 0,
+                   last_factor.data(), f, values.data() + first,
+                   idx2.data() + first,
+                   ptr1[static_cast<size_t>(b) + 1] - first, f, variant);
+    }
+  }
+  return partial;
 }
 
 Matrix Mttkrp(const DenseTensor& tensor, const std::vector<Matrix>& factors,

@@ -11,12 +11,22 @@
 // scratch is the two Khatri-Rao partials plus one mid x F matrix — never
 // a tensor-sized buffer.
 //
-// Sparse layouts (COO, CSF) walk their non-zeros and accumulate one
-// length-F row product per entry.
+// CSF tensors replay that contraction over their non-zeros: the fiber
+// tree is walked in lexicographic (row-major) order, each leaf is one
+// kernel step — P += v * KR_right(r) into its level-`mode` node's
+// partial, or out(i) += v * KR_left(l) at the last mode — and each node's
+// partial is folded with KR_left(l) as in the dense loop. Every output
+// element therefore sees the dense kernel's updates in the dense kernel's
+// order, minus the zero cells the dense kernels skip: CSF results are
+// bit-identical to dense ones over the same cells, on every kernel variant.
+//
+// COO walks its non-zeros and accumulates one length-F row product per
+// entry (its own rounding order, not the dense one).
 //
 // Zero-skip contract, every layout: a zero tensor cell contributes
-// nothing, even against a non-finite factor entry (the GEMM kernels skip
-// zero multipliers, the fold skips zero partial entries).
+// nothing, even against a non-finite factor entry (the GEMM kernels and
+// the CSF leaf step skip zero multipliers, the fold skips zero partial
+// entries).
 
 #ifndef TPCP_TENSOR_MTTKRP_H_
 #define TPCP_TENSOR_MTTKRP_H_
@@ -40,10 +50,9 @@ Matrix Mttkrp(const DenseTensor& tensor, const std::vector<Matrix>& factors,
 Matrix Mttkrp(const SparseTensor& tensor, const std::vector<Matrix>& factors,
               int mode);
 
-/// Sparse MTTKRP over the compressed fiber layout, streaming fibers in
-/// lexicographic order. Bit-identical to the COO kernel over the same
-/// non-zeros sorted lexicographically (per-entry products accumulate in
-/// ascending mode order either way).
+/// Sparse MTTKRP over the compressed fiber layout: the dense two-step
+/// contraction replayed over the non-zeros, bit-identical to Mttkrp on the
+/// densified tensor.
 Matrix Mttkrp(const CsfTensor& tensor, const std::vector<Matrix>& factors,
               int mode);
 
@@ -65,6 +74,12 @@ Matrix MttkrpVariant(const CsfTensor& tensor,
 /// C is untouched by the mode-0 and mode-1 updates, so one T serves both
 /// of their MTTKRPs (the first level of a dimension tree).
 Matrix MttkrpPartial3(const DenseTensor& tensor, const Matrix& last_factor,
+                      KernelVariant variant);
+
+/// The same partial from a CSF tensor: each (i, j) fiber's leaves add
+/// v * C(k, :) to row i*J + j in ascending k, bit-identical to the dense
+/// form over the same cells (rows of absent fibers stay zero).
+Matrix MttkrpPartial3(const CsfTensor& tensor, const Matrix& last_factor,
                       KernelVariant variant);
 
 /// Mode-0 or mode-1 MTTKRP of a 3-way tensor from its partial T: folds T

@@ -106,16 +106,22 @@ TEST(CpAlsTest, NoiseToleratedAtModerateLevel) {
 }
 
 TEST(CpAlsTest, SparseTensorDecomposition) {
-  // Sparse version agrees with dense version run on the same data.
+  // The sparse run replays the dense sweep's accumulation order on the
+  // non-zeros, so it agrees with the dense run on the same data exactly:
+  // factors, lambda and every fit in the trace.
   const DenseTensor dense = ExactLowRank(Shape({9, 8, 7}), 2, 7);
   const SparseTensor sparse = SparseTensor::FromDense(dense);
   CpAlsOptions options;
   options.rank = 2;
   options.max_iterations = 50;
   options.seed = 9;
-  const KruskalTensor kd = CpAls(dense, options);
-  const KruskalTensor ks = CpAls(sparse, options);
-  EXPECT_NEAR(Fit(dense, kd), Fit(sparse, ks), 1e-8);
+  CpAlsReport rd, rs;
+  const KruskalTensor kd = CpAls(dense, options, &rd);
+  const KruskalTensor ks = CpAls(sparse, options, &rs);
+  EXPECT_EQ(rd.fit_trace, rs.fit_trace);
+  EXPECT_EQ(rd.final_fit, rs.final_fit);
+  EXPECT_EQ(kd.lambda(), ks.lambda());
+  for (int m = 0; m < 3; ++m) EXPECT_TRUE(kd.factor(m) == ks.factor(m));
 }
 
 TEST(CpAlsTest, HosvdInitAtLeastAsGoodEarly) {

@@ -250,6 +250,42 @@ TEST(KernelsTest, MttkrpRowKernelsBitIdenticalAcrossLengths) {
       ASSERT_TRUE(BitsEqual(ds.data() + c, d0.data() + c, 1))
           << "fold skip f=" << f << " c=" << c;
     }
+
+    // Leaves gathered into one row: one Gemm-microkernel step per entry,
+    // bit for bit, on both variants; entry 1's multiplier is a zero
+    // facing an infinite row, which is no update.
+    std::vector<double> xs = RandomVec(3 * f, 400 + s);
+    for (int64_t c = 0; c < f; ++c) {
+      xs[static_cast<size_t>(f + c)] = std::numeric_limits<double>::infinity();
+    }
+    const double vals[3] = {v, f % 2 == 0 ? 0.0 : -0.0, 0.5 * v};
+    const int64_t rows[3] = {2, 1, 0};
+    std::vector<double> want = d0;
+    for (int64_t e = 0; e < 3; ++e) {
+      MicroKernelNN(&vals[e], 1, xs.data() + rows[e] * f, f, want.data(), f,
+                    1, f, 1, KernelVariant::kScalar, KernelArith::kExact);
+    }
+    for (KernelVariant variant :
+         {KernelVariant::kScalar, KernelVariant::kSimd}) {
+      std::vector<double> got = d0;
+      MttkrpLeaves(got.data(), 0, xs.data(), f, vals, rows, 3, f, variant);
+      ASSERT_TRUE(BitsEqual(got.data(), want.data(), f)) << "gather f=" << f;
+    }
+    // Leaves scattered: the same entries into three output rows from one
+    // x row.
+    std::vector<double> out0 = RandomVec(3 * f, 500 + s);
+    std::vector<double> want_out = out0;
+    for (int64_t e = 0; e < 3; ++e) {
+      MicroKernelNN(&vals[e], 1, w.data(), f, want_out.data() + rows[e] * f,
+                    f, 1, f, 1, KernelVariant::kScalar, KernelArith::kExact);
+    }
+    for (KernelVariant variant :
+         {KernelVariant::kScalar, KernelVariant::kSimd}) {
+      std::vector<double> got = out0;
+      MttkrpLeaves(got.data(), f, w.data(), 0, vals, rows, 3, f, variant);
+      ASSERT_TRUE(BitsEqual(got.data(), want_out.data(), 3 * f))
+          << "scatter f=" << f;
+    }
   }
 }
 
@@ -320,12 +356,14 @@ TEST(KernelsTest, MttkrpVariantsBitIdenticalAcrossBackends) {
     EXPECT_TRUE(
         BitsEqual(cs, MttkrpVariant(csf, f, mode, KernelVariant::kSimd)))
         << "csf mode=" << mode;
-    // COO and CSF stream the same non-zeros in the same lexicographic
-    // order, so the two sparse layouts are bit-identical too.
-    EXPECT_TRUE(BitsEqual(ss, cs)) << "coo-vs-csf mode=" << mode;
+    // CSF replays the dense contraction's accumulation order over the
+    // non-zeros, so it is bit-identical to the dense layout.
+    EXPECT_TRUE(BitsEqual(ds, cs)) << "dense-vs-csf mode=" << mode;
   }
   const Matrix ts = MttkrpPartial3(dense, f[2], KernelVariant::kScalar);
   EXPECT_TRUE(BitsEqual(ts, MttkrpPartial3(dense, f[2], KernelVariant::kSimd)));
+  EXPECT_TRUE(BitsEqual(ts, MttkrpPartial3(csf, f[2], KernelVariant::kScalar)));
+  EXPECT_TRUE(BitsEqual(ts, MttkrpPartial3(csf, f[2], KernelVariant::kSimd)));
   for (int mode = 0; mode < 2; ++mode) {
     EXPECT_TRUE(BitsEqual(
         MttkrpFromPartial3(ts, f, mode, KernelVariant::kScalar),
@@ -334,12 +372,19 @@ TEST(KernelsTest, MttkrpVariantsBitIdenticalAcrossBackends) {
   }
   const Shape shape4({3, 5, 2, 7});
   const DenseTensor dense4 = RandomTensor(shape4, 42, 0.5);
+  const CsfTensor csf4 = CsfTensor::FromDense(dense4);
   const std::vector<Matrix> f4 = RandomFactorsFor(shape4, 9, 43);
   for (int mode = 0; mode < 4; ++mode) {
+    const Matrix d4 = MttkrpVariant(dense4, f4, mode, KernelVariant::kScalar);
     EXPECT_TRUE(
-        BitsEqual(MttkrpVariant(dense4, f4, mode, KernelVariant::kScalar),
-                  MttkrpVariant(dense4, f4, mode, KernelVariant::kSimd)))
+        BitsEqual(d4, MttkrpVariant(dense4, f4, mode, KernelVariant::kSimd)))
         << "dense 4-way mode=" << mode;
+    EXPECT_TRUE(
+        BitsEqual(d4, MttkrpVariant(csf4, f4, mode, KernelVariant::kScalar)))
+        << "csf 4-way mode=" << mode;
+    EXPECT_TRUE(
+        BitsEqual(d4, MttkrpVariant(csf4, f4, mode, KernelVariant::kSimd)))
+        << "csf 4-way mode=" << mode;
   }
 }
 

@@ -89,10 +89,10 @@ TEST(MttkrpTest, SparseFourModeTakesGenericPath) {
   }
 }
 
-TEST(MttkrpTest, CsfAgreesWithCooBitwiseThreeMode) {
-  // CSF streams the same non-zeros in the same lexicographic order as the
-  // sorted COO path, so the fused 3-mode kernel must match bit-for-bit,
-  // not just within tolerance.
+TEST(MttkrpTest, CsfAgreesWithDenseBitwiseThreeMode) {
+  // CSF replays the dense two-step contraction over the non-zeros in the
+  // dense kernel's accumulation order, so it must match bit-for-bit, not
+  // just within tolerance — the plain kernel and the shared partial both.
   const Shape shape({6, 5, 4});
   const DenseTensor dense = RandomTensor(shape, 15, /*zero_fraction=*/0.8);
   const SparseTensor coo = SparseTensor::FromDense(dense);
@@ -100,19 +100,27 @@ TEST(MttkrpTest, CsfAgreesWithCooBitwiseThreeMode) {
   EXPECT_EQ(csf.nnz(), coo.nnz());
   const std::vector<Matrix> f = RandomFactorsFor(shape, 5, 16);
   for (int mode = 0; mode < 3; ++mode) {
-    const Matrix from_coo = Mttkrp(coo, f, mode);
+    const Matrix from_dense = Mttkrp(dense, f, mode);
     const Matrix from_csf = Mttkrp(csf, f, mode);
-    ASSERT_EQ(from_coo.rows(), from_csf.rows());
-    for (int64_t i = 0; i < from_coo.size(); ++i) {
-      ASSERT_EQ(from_coo.data()[i], from_csf.data()[i])
+    ASSERT_EQ(from_dense.rows(), from_csf.rows());
+    for (int64_t i = 0; i < from_dense.size(); ++i) {
+      ASSERT_EQ(from_dense.data()[i], from_csf.data()[i])
           << "mode=" << mode << " i=" << i;
     }
+    EXPECT_TRUE(Matrix::AlmostEqual(Mttkrp(coo, f, mode), from_csf, 1e-10))
+        << "mode=" << mode;
+  }
+  const Matrix t_dense = MttkrpPartial3(dense, f[2], KernelVariant::kSimd);
+  const Matrix t_csf = MttkrpPartial3(csf, f[2], KernelVariant::kSimd);
+  ASSERT_EQ(t_dense.rows(), t_csf.rows());
+  for (int64_t i = 0; i < t_dense.size(); ++i) {
+    ASSERT_EQ(t_dense.data()[i], t_csf.data()[i]) << "partial i=" << i;
   }
 }
 
-TEST(MttkrpTest, CsfFourModeTakesGenericPath) {
-  // Four modes exit the fused kernel into the generic fiber walk; it must
-  // still agree with dense (within tolerance) and with COO (bitwise).
+TEST(MttkrpTest, CsfFourModeAgreesWithDenseBitwise) {
+  // Four modes: the left and right Khatri-Rao partials both have several
+  // levels, so the prefix and suffix walks are exercised in full.
   const Shape shape({4, 3, 3, 2});
   const DenseTensor dense = RandomTensor(shape, 17, /*zero_fraction=*/0.7);
   const SparseTensor coo = SparseTensor::FromDense(dense);
@@ -120,12 +128,11 @@ TEST(MttkrpTest, CsfFourModeTakesGenericPath) {
   const std::vector<Matrix> f = RandomFactorsFor(shape, 6, 18);
   for (int mode = 0; mode < 4; ++mode) {
     const Matrix from_csf = Mttkrp(csf, f, mode);
-    EXPECT_TRUE(
-        Matrix::AlmostEqual(from_csf, Mttkrp(dense, f, mode), 1e-10))
+    EXPECT_TRUE(Matrix::AlmostEqual(from_csf, Mttkrp(coo, f, mode), 1e-10))
         << "mode=" << mode;
-    const Matrix from_coo = Mttkrp(coo, f, mode);
-    for (int64_t i = 0; i < from_coo.size(); ++i) {
-      ASSERT_EQ(from_coo.data()[i], from_csf.data()[i])
+    const Matrix from_dense = Mttkrp(dense, f, mode);
+    for (int64_t i = 0; i < from_dense.size(); ++i) {
+      ASSERT_EQ(from_dense.data()[i], from_csf.data()[i])
           << "mode=" << mode << " i=" << i;
     }
   }
@@ -253,6 +260,36 @@ TEST(MttkrpTest, ZeroCellsContributeNothingAgainstInfFactors) {
   }
 }
 
+TEST(MttkrpTest, CsfExplicitZeroLeavesContributeNothing) {
+  // A CSF tree may hold explicit zero leaves (from a COO tensor that
+  // stores its zeros). They are skipped like the dense kernels' zero
+  // cells, even against an inf factor row, so the result stays equal to
+  // the dense one — on the plain kernel and on the shared 3-way partial.
+  for (const Shape& shape : {Shape({4, 3, 5, 2}), Shape({3, 4, 5})}) {
+    const int n = shape.num_modes();
+    for (int k = 0; k < n; ++k) {
+      const HoledCase h = MakeHoledCase(shape, k, 1, 5, 29);
+      SparseTensor all_cells(shape);
+      for (int64_t i = 0; i < h.tensor.NumElements(); ++i) {
+        all_cells.Add(shape.MultiIndex(i), h.tensor.at_linear(i));
+      }
+      const CsfTensor csf = CsfTensor::FromSparse(all_cells);
+      ASSERT_EQ(csf.nnz(), h.tensor.NumElements());
+      for (int mode = 0; mode < n; ++mode) {
+        if (mode == k) continue;
+        EXPECT_TRUE(Mttkrp(csf, h.with_inf, mode) ==
+                    Mttkrp(h.tensor, h.with_inf, mode))
+            << "inf mode=" << k << " mttkrp mode=" << mode;
+      }
+      if (n == 3 && k == 2) {
+        EXPECT_TRUE(
+            MttkrpPartial3(csf, h.with_inf[2], KernelVariant::kSimd) ==
+            MttkrpPartial3(h.tensor, h.with_inf[2], KernelVariant::kSimd));
+      }
+    }
+  }
+}
+
 struct MttkrpCase {
   std::vector<int64_t> dims;
   int64_t rank;
@@ -269,6 +306,21 @@ TEST_P(MttkrpSweep, DenseMatchesReferenceEveryMode) {
     EXPECT_TRUE(Matrix::AlmostEqual(Mttkrp(t, f, mode),
                                     ReferenceMttkrp(t, f, mode), 1e-9))
         << shape.ToString() << " mode=" << mode;
+  }
+}
+
+TEST_P(MttkrpSweep, CsfMatchesDenseBitwiseEveryMode) {
+  const MttkrpCase& c = GetParam();
+  const Shape shape(c.dims);
+  const DenseTensor t = RandomTensor(shape, 13, /*zero_fraction=*/0.6);
+  const CsfTensor csf = CsfTensor::FromDense(t);
+  const std::vector<Matrix> f = RandomFactorsFor(shape, c.rank, 14);
+  for (int mode = 0; mode < shape.num_modes(); ++mode) {
+    for (KernelVariant v : {KernelVariant::kScalar, KernelVariant::kSimd}) {
+      EXPECT_TRUE(MttkrpVariant(csf, f, mode, v) ==
+                  MttkrpVariant(t, f, mode, v))
+          << shape.ToString() << " mode=" << mode;
+    }
   }
 }
 

@@ -314,6 +314,163 @@ TEST(SerializerTest, SparseRecordsDetectCorruptionAndTruncation) {
   }
 }
 
+// ---- decoder hardening: CRC-valid records with bad structure ----------
+
+void AppendVarintTo(std::string* out, uint64_t value) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<char>(value));
+}
+
+template <typename T>
+void AppendPodTo(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+std::string Sealed(std::string body) {
+  AppendPodTo(&body, Crc32(body.data(), body.size()));
+  return body;
+}
+
+std::string Header(uint8_t kind, const std::vector<int64_t>& dims) {
+  std::string out;
+  AppendPodTo(&out, static_cast<uint32_t>(0x32504350));
+  AppendPodTo(&out, kind);
+  AppendPodTo(&out, static_cast<uint32_t>(dims.size()));
+  for (int64_t d : dims) AppendPodTo(&out, d);
+  return out;
+}
+
+// A 2x2x2 CSF record with the given level arrays, written as the
+// serializer does (index deltas zigzag-coded, pointer deltas unsigned and
+// wrapping, so any pointer value is expressible).
+std::string CsfRecord(const std::vector<std::vector<int64_t>>& idx,
+                      const std::vector<std::vector<int64_t>>& ptr,
+                      const std::vector<double>& values) {
+  std::string out = Header(4, {2, 2, 2});
+  AppendPodTo(&out, static_cast<int64_t>(values.size()));
+  for (const std::vector<int64_t>& level : idx) {
+    AppendPodTo(&out, static_cast<int64_t>(level.size()));
+  }
+  for (const std::vector<int64_t>& level : idx) {
+    int64_t prev = 0;
+    for (int64_t v : level) {
+      const int64_t d = v - prev;
+      AppendVarintTo(&out, (static_cast<uint64_t>(d) << 1) ^
+                               static_cast<uint64_t>(d >> 63));
+      prev = v;
+    }
+  }
+  for (const std::vector<int64_t>& level : ptr) {
+    uint64_t prev = 0;
+    for (int64_t v : level) {
+      AppendVarintTo(&out, static_cast<uint64_t>(v) - prev);
+      prev = static_cast<uint64_t>(v);
+    }
+  }
+  for (double v : values) AppendPodTo(&out, v);
+  return Sealed(out);
+}
+
+void ExpectEveryDecoderRejects(const std::string& bytes) {
+  EXPECT_TRUE(DeserializeSparseCsf(bytes).status().IsCorruption())
+      << DeserializeSparseCsf(bytes).status().ToString();
+  EXPECT_TRUE(DeserializeSparse(bytes).status().IsCorruption());
+  EXPECT_TRUE(DeserializeTensorAny(bytes).status().IsCorruption());
+  EXPECT_TRUE(DeserializeCsfAny(bytes).status().IsCorruption());
+}
+
+TEST(SerializerTest, HandBuiltCsfRecordDecodes) {
+  // The builder itself is right: a well-formed record decodes. Fibers
+  // (0, 0) and (1, 1) both hold leaf k = 1 — equal indices under
+  // different parents are fine.
+  const std::string bytes =
+      CsfRecord({{0, 1}, {0, 1}, {1, 0, 1}}, {{0, 1, 2}, {0, 1, 3}},
+                {1.0, 2.0, 3.0});
+  auto csf = DeserializeSparseCsf(bytes);
+  ASSERT_TRUE(csf.ok()) << csf.status().ToString();
+  auto dense = DeserializeTensorAny(bytes);
+  ASSERT_TRUE(dense.ok());
+  EXPECT_EQ(dense->at({0, 0, 1}), 1.0);
+  EXPECT_EQ(dense->at({1, 1, 0}), 2.0);
+  EXPECT_EQ(dense->at({1, 1, 1}), 3.0);
+}
+
+TEST(SerializerTest, CsfPointerOutsideItsLevelIsCorruption) {
+  // ptr(1) = [0, 2^26, 2]: front and back are in bounds, the middle is
+  // not. Decoding used to accept it and the densify wrote far out of
+  // bounds.
+  ExpectEveryDecoderRejects(CsfRecord({{0}, {0, 1}, {0, 1}},
+                                      {{0, 2}, {0, int64_t{1} << 26, 2}},
+                                      {1.0, 2.0}));
+  // A pointer array that steps back down (non-monotone) while every
+  // value, the front and the back stay in range: leaf 1 would be visited
+  // under two fibers.
+  ExpectEveryDecoderRejects(CsfRecord({{0, 1}, {0, 1, 1}, {0, 1}},
+                                      {{0, 2, 3}, {0, 2, 1, 2}}, {1.0, 2.0}));
+}
+
+TEST(SerializerTest, CsfSiblingsMustStrictlyIncrease) {
+  // Duplicate leaf k under one fiber, then a decreasing pair, then
+  // decreasing fibers under one root node.
+  ExpectEveryDecoderRejects(
+      CsfRecord({{0}, {0}, {1, 1}}, {{0, 1}, {0, 2}}, {1.0, 2.0}));
+  ExpectEveryDecoderRejects(
+      CsfRecord({{0}, {0}, {1, 0}}, {{0, 1}, {0, 2}}, {1.0, 2.0}));
+  ExpectEveryDecoderRejects(
+      CsfRecord({{0}, {1, 0}, {0, 0}}, {{0, 2}, {0, 1, 2}}, {1.0, 2.0}));
+}
+
+TEST(SerializerTest, CountsLargerThanTheRecordAreCorruption) {
+  // Header counts that would size a vector far beyond the record's bytes
+  // are rejected before any allocation (they used to throw length_error
+  // or exhaust memory).
+  const int64_t huge = int64_t{1} << 40;
+  std::string csf = Header(4, {2, 2, 2});
+  AppendPodTo(&csf, huge);  // nnz
+  for (int64_t n : {int64_t{1}, int64_t{1}, huge}) AppendPodTo(&csf, n);
+  ExpectEveryDecoderRejects(Sealed(csf));
+
+  std::string csf_nodes = Header(4, {2, 2, 2});
+  AppendPodTo(&csf_nodes, int64_t{1});
+  for (int64_t n : {huge, int64_t{1}, int64_t{1}}) {
+    AppendPodTo(&csf_nodes, n);
+  }
+  ExpectEveryDecoderRejects(Sealed(csf_nodes));
+
+  std::string coo = Header(3, {2, 2, 2});
+  AppendPodTo(&coo, huge);
+  EXPECT_TRUE(DeserializeSparse(Sealed(coo)).status().IsCorruption());
+  EXPECT_TRUE(DeserializeCsfAny(Sealed(coo)).status().IsCorruption());
+
+  // Dense dims whose product overflows int64, and a matrix far larger
+  // than its record.
+  const std::string dense = Sealed(Header(2, {huge, huge, huge}));
+  EXPECT_TRUE(DeserializeTensor(dense).status().IsCorruption());
+  EXPECT_TRUE(DeserializeTensorAny(dense).status().IsCorruption());
+  EXPECT_TRUE(DeserializeMatrix(Sealed(Header(1, {huge, huge})))
+                  .status()
+                  .IsCorruption());
+}
+
+TEST(SerializerTest, EmptySparseRecordsRoundTrip) {
+  // nnz == 0: every payload array is empty (no zero-length copy into a
+  // null buffer).
+  const SparseTensor empty{Shape({3, 2, 4})};
+  for (const std::string& bytes :
+       {SerializeSparseCoo(empty),
+        SerializeSparseCsf(CsfTensor::FromSparse(empty))}) {
+    auto csf = DeserializeCsfAny(bytes);
+    ASSERT_TRUE(csf.ok()) << csf.status().ToString();
+    EXPECT_EQ(csf->nnz(), 0);
+    auto dense = DeserializeTensorAny(bytes);
+    ASSERT_TRUE(dense.ok());
+    EXPECT_EQ(dense->CountNonZeros(), 0);
+  }
+}
+
 TEST(SerializerTest, SparseEnvWrappers) {
   auto env = NewMemEnv();
   const SparseTensor t = ClusteredSparse(11);
