@@ -5,10 +5,11 @@
 //   bench_micro_kernels [--json=BENCH_micro_kernels.json]
 //
 // Each kernel is measured in both variants on identical inputs; the SIMD
-// row carries its speedup over the scalar row. Note the scalar baseline is
-// whatever the compiler makes of the plain loops — in an -mavx2 build that
-// baseline is itself auto-vectorized, so the reported speedups understate
-// the gap to a truly scalar (-DTPCP_FORCE_SCALAR) build.
+// row carries its speedup over the scalar row. The SIMD row runs the
+// backend the process selected at start-up (AVX2 on an x86-64 CPU with
+// AVX2 and FMA); under TPCP_SIMD=scalar both rows run the scalar
+// reference. The scalar baseline is whatever the compiler makes of the
+// plain loops for the build's baseline ISA (SSE2 on x86-64).
 
 #include <chrono>
 #include <cstdint>
@@ -116,7 +117,7 @@ void BenchKernel(const std::string& name, double bytes_per_op, Op&& op) {
 }
 
 void RunAll() {
-  std::printf("micro-kernels (simd target: %s, compiled: %s)\n",
+  std::printf("micro-kernels (simd target: %s, active: %s)\n",
               SimdTargetName(), SimdCompiled() ? "yes" : "no");
   bench::PrintRule();
 

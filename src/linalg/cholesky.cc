@@ -6,6 +6,38 @@
 #include "linalg/pinv.h"
 
 namespace tpcp {
+namespace {
+
+// Solves y L L^T = b for each row b of `rows`, in place: the loops of
+// CholeskySolveInPlace with the right-hand side's row and column indices
+// swapped. Every element goes through the same operations in the same
+// order, so the result is bit-identical to solving the transpose, without
+// the two copies. The row loop stays inside the i loop, as there, so the
+// rows' independent dependency chains overlap.
+void CholeskySolveRowsInPlace(const Matrix& l, Matrix* rows) {
+  const int64_t n = l.rows();
+  const int64_t m = rows->rows();
+  // Forward substitution: y L = b.
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t r = 0; r < m; ++r) {
+      double* y = rows->row(r);
+      double acc = y[i];
+      for (int64_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
+      y[i] = acc / l(i, i);
+    }
+  }
+  // Back substitution: x L^T = y.
+  for (int64_t i = n - 1; i >= 0; --i) {
+    for (int64_t r = 0; r < m; ++r) {
+      double* y = rows->row(r);
+      double acc = y[i];
+      for (int64_t k = i + 1; k < n; ++k) acc -= l(k, i) * y[k];
+      y[i] = acc / l(i, i);
+    }
+  }
+}
+
+}  // namespace
 
 Status CholeskyFactor(Matrix* a) {
   if (a->rows() != a->cols()) {
@@ -60,13 +92,12 @@ double SolveGramSystem(const Matrix& t, const Matrix& s, Matrix* x) {
   TPCP_CHECK_EQ(s.rows(), s.cols());
   TPCP_CHECK_EQ(t.cols(), s.rows());
 
-  // Fast path: S positive definite — solve S X^T = T^T via Cholesky
-  // (S is symmetric).
+  // Fast path: S positive definite — solve X S = T row by row via
+  // Cholesky (S is symmetric).
   Matrix factor = s;
   if (CholeskyFactor(&factor).ok()) {
-    Matrix rhs = t.Transposed();  // f x m
-    CholeskySolveInPlace(factor, &rhs);
-    *x = rhs.Transposed();
+    *x = t;
+    CholeskySolveRowsInPlace(factor, x);
     return 0.0;
   }
 

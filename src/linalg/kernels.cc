@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 #include "linalg/simd.h"
 
@@ -60,6 +62,9 @@ void MicroKernelTNScalar(const double* a, int64_t lda, const double* b,
 
 // ---- Vector bodies ------------------------------------------------------
 //
+// Compiled for the vector target (TPCP_VECTOR_TARGET, linalg/simd.h) and
+// called only once UseVector() has picked it for this process.
+//
 // Register blocking: C strips of kRowStrip rows x two vectors of columns
 // stay in registers across the whole k extent, so each C element is
 // loaded/stored once per tile instead of once per k step. The k loop is
@@ -71,7 +76,8 @@ void MicroKernelTNScalar(const double* a, int64_t lda, const double* b,
 constexpr int64_t kRowStrip = 4;
 
 template <bool kFused>
-inline simd::VecD Acc(simd::VecD a, simd::VecD b, simd::VecD acc) {
+TPCP_VECTOR_TARGET inline simd::VecD Acc(simd::VecD a, simd::VecD b,
+                                         simd::VecD acc) {
   if constexpr (kFused) {
     return simd::FusedMulAdd(a, b, acc);
   } else {
@@ -83,8 +89,9 @@ inline simd::VecD Acc(simd::VecD a, simd::VecD b, simd::VecD acc) {
 // the operand layout (NN reads A row-major per C row; TN reads A
 // column-strided with the alpha scale folded in).
 template <bool kFused, typename AVal>
-void BlockedKernel(const double* b, int64_t ldb, double* c, int64_t ldc,
-                   int64_t mb, int64_t nb, int64_t kb, const AVal& aval) {
+TPCP_VECTOR_TARGET void BlockedKernel(const double* b, int64_t ldb, double* c,
+                                      int64_t ldc, int64_t mb, int64_t nb,
+                                      int64_t kb, const AVal& aval) {
   constexpr int64_t kW = simd::kWidth;
   int64_t j = 0;
   for (; j + 2 * kW <= nb; j += 2 * kW) {
@@ -154,28 +161,153 @@ void BlockedKernel(const double* b, int64_t ldb, double* c, int64_t ldc,
 }
 
 template <bool kFused>
-void MicroKernelNNVec(const double* a, int64_t lda, const double* b,
-                      int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                      int64_t nb, int64_t kb) {
+TPCP_VECTOR_TARGET void MicroKernelNNVec(const double* a, int64_t lda,
+                                         const double* b, int64_t ldb,
+                                         double* c, int64_t ldc, int64_t mb,
+                                         int64_t nb, int64_t kb) {
   BlockedKernel<kFused>(
       b, ldb, c, ldc, mb, nb, kb,
       [a, lda](int64_t i, int64_t p) { return a[i * lda + p]; });
 }
 
 template <bool kFused>
-void MicroKernelTNVec(const double* a, int64_t lda, const double* b,
-                      int64_t ldb, double* c, int64_t ldc, int64_t mb,
-                      int64_t nb, int64_t kb, double alpha) {
+TPCP_VECTOR_TARGET void MicroKernelTNVec(const double* a, int64_t lda,
+                                         const double* b, int64_t ldb,
+                                         double* c, int64_t ldc, int64_t mb,
+                                         int64_t nb, int64_t kb,
+                                         double alpha) {
   BlockedKernel<kFused>(
       b, ldb, c, ldc, mb, nb, kb,
       [a, lda, alpha](int64_t i, int64_t p) { return alpha * a[p * lda + i]; });
 }
 
+// The element-wise kernels: whole lane groups, then the scalar expression
+// on the tail narrower than a vector.
+
+TPCP_VECTOR_TARGET void HadamardVec(double* a, const double* b, int64_t n) {
+  constexpr int64_t kW = simd::kWidth;
+  int64_t i = 0;
+  // This loop is pure streaming bandwidth; a single vector per
+  // iteration leaves load ports idle behind the store, so issue four
+  // independent lane groups per trip (element-wise multiply — the
+  // unroll order cannot change any result bit).
+  for (; i + 4 * kW <= n; i += 4 * kW) {
+    const simd::VecD r0 = simd::Mul(simd::Load(a + i), simd::Load(b + i));
+    const simd::VecD r1 =
+        simd::Mul(simd::Load(a + i + kW), simd::Load(b + i + kW));
+    const simd::VecD r2 =
+        simd::Mul(simd::Load(a + i + 2 * kW), simd::Load(b + i + 2 * kW));
+    const simd::VecD r3 =
+        simd::Mul(simd::Load(a + i + 3 * kW), simd::Load(b + i + 3 * kW));
+    simd::Store(a + i, r0);
+    simd::Store(a + i + kW, r1);
+    simd::Store(a + i + 2 * kW, r2);
+    simd::Store(a + i + 3 * kW, r3);
+  }
+  for (; i + kW <= n; i += kW) {
+    simd::Store(a + i, simd::Mul(simd::Load(a + i), simd::Load(b + i)));
+  }
+  for (; i < n; ++i) a[i] *= b[i];
+}
+
+TPCP_VECTOR_TARGET void MttkrpRow3Vec(double* dst, double v, const double* r1,
+                                      const double* r2, int64_t f) {
+  constexpr int64_t kW = simd::kWidth;
+  const simd::VecD vv = simd::Broadcast(v);
+  int64_t c = 0;
+  for (; c + kW <= f; c += kW) {
+    // (v * r1[c]) * r2[c], then add — the scalar expression's order.
+    const simd::VecD t =
+        simd::Mul(simd::Mul(vv, simd::Load(r1 + c)), simd::Load(r2 + c));
+    simd::Store(dst + c, simd::Add(simd::Load(dst + c), t));
+  }
+  for (; c < f; ++c) dst[c] += v * r1[c] * r2[c];
+}
+
+TPCP_VECTOR_TARGET void MttkrpFoldVec(double* dst, const double* w,
+                                      const double* p, int64_t f) {
+  constexpr int64_t kW = simd::kWidth;
+  int64_t c = 0;
+  for (; c + kW <= f; c += kW) {
+    const simd::VecD pv = simd::Load(p + c);
+    const simd::VecD d = simd::Load(dst + c);
+    simd::Store(dst + c, simd::SelectIfZero(
+                             pv, d, simd::MulAdd(simd::Load(w + c), pv, d)));
+  }
+  for (; c < f; ++c) {
+    if (p[c] != 0.0) dst[c] += w[c] * p[c];
+  }
+}
+
+TPCP_VECTOR_TARGET void MttkrpLeavesVec(double* dst, int64_t ldd,
+                                        const double* x, int64_t ldx,
+                                        const double* v, const int64_t* rows,
+                                        int64_t count, int64_t f) {
+  constexpr int64_t kW = simd::kWidth;
+  for (int64_t e = 0; e < count; ++e) {
+    if (v[e] == 0.0) continue;
+    double* d = dst + rows[e] * ldd;
+    const double* xr = x + rows[e] * ldx;
+    const simd::VecD vv = simd::Broadcast(v[e]);
+    int64_t c = 0;
+    for (; c + kW <= f; c += kW) {
+      simd::Store(d + c,
+                  simd::MulAdd(vv, simd::Load(xr + c), simd::Load(d + c)));
+    }
+    for (; c < f; ++c) d[c] += v[e] * xr[c];
+  }
+}
+
+TPCP_VECTOR_TARGET void MttkrpSeedVec(double* prod, double v, const double* row,
+                                      int64_t f) {
+  constexpr int64_t kW = simd::kWidth;
+  const simd::VecD vv = simd::Broadcast(v);
+  int64_t c = 0;
+  for (; c + kW <= f; c += kW) {
+    simd::Store(prod + c, simd::Mul(vv, simd::Load(row + c)));
+  }
+  for (; c < f; ++c) prod[c] = v * row[c];
+}
+
+TPCP_VECTOR_TARGET void MttkrpAccumVec(double* dst, const double* src,
+                                       int64_t f) {
+  constexpr int64_t kW = simd::kWidth;
+  int64_t c = 0;
+  for (; c + kW <= f; c += kW) {
+    simd::Store(dst + c, simd::Add(simd::Load(dst + c), simd::Load(src + c)));
+  }
+  for (; c < f; ++c) dst[c] += src[c];
+}
+
+// ---- Backend selection --------------------------------------------------
+//
+// Decided once per process: the vector bodies run when the CPU supports
+// them, unless the environment pins the scalar reference with
+// TPCP_SIMD=scalar (any other value leaves the choice to the CPU check).
+// Forked processes inherit both the environment and the decision.
+
+bool DetectVector() {
+  const char* env = std::getenv("TPCP_SIMD");
+  if (env != nullptr && std::strcmp(env, "scalar") == 0) return false;
+  return simd::CpuSupported();
+}
+
+inline bool VectorActive() {
+  static const bool active = DetectVector();
+  return active;
+}
+
+bool UseVector(KernelVariant variant) {
+  return variant == KernelVariant::kSimd && VectorActive();
+}
+
 }  // namespace
 
-bool SimdCompiled() { return simd::kEnabled; }
+bool SimdCompiled() { return VectorActive(); }
 
-const char* SimdTargetName() { return simd::kTargetName; }
+const char* SimdTargetName() {
+  return VectorActive() ? simd::kTargetName : "scalar";
+}
 
 const char* KernelVariantName(KernelVariant variant) {
   return variant == KernelVariant::kScalar ? "scalar" : "simd";
@@ -189,7 +321,7 @@ void MicroKernelNN(const double* a, int64_t lda, const double* b,
                    int64_t ldb, double* c, int64_t ldc, int64_t mb,
                    int64_t nb, int64_t kb, KernelVariant variant,
                    KernelArith arith) {
-  if (simd::kEnabled && variant == KernelVariant::kSimd) {
+  if (UseVector(variant)) {
     if (arith == KernelArith::kFma) {
       MicroKernelNNVec<true>(a, lda, b, ldb, c, ldc, mb, nb, kb);
     } else {
@@ -208,7 +340,7 @@ void MicroKernelTN(const double* a, int64_t lda, const double* b,
                    int64_t ldb, double* c, int64_t ldc, int64_t mb,
                    int64_t nb, int64_t kb, double alpha,
                    KernelVariant variant, KernelArith arith) {
-  if (simd::kEnabled && variant == KernelVariant::kSimd) {
+  if (UseVector(variant)) {
     if (arith == KernelArith::kFma) {
       MicroKernelTNVec<true>(a, lda, b, ldb, c, ldc, mb, nb, kb, alpha);
     } else {
@@ -225,62 +357,20 @@ void MicroKernelTN(const double* a, int64_t lda, const double* b,
 
 void HadamardKernel(double* a, const double* b, int64_t n,
                     KernelVariant variant) {
-  int64_t i = 0;
-  if (simd::kEnabled && variant == KernelVariant::kSimd) {
-    constexpr int64_t kW = simd::kWidth;
-    // This loop is pure streaming bandwidth; a single vector per
-    // iteration leaves load ports idle behind the store, so issue four
-    // independent lane groups per trip (element-wise multiply — the
-    // unroll order cannot change any result bit).
-    for (; i + 4 * kW <= n; i += 4 * kW) {
-      const simd::VecD r0 = simd::Mul(simd::Load(a + i), simd::Load(b + i));
-      const simd::VecD r1 =
-          simd::Mul(simd::Load(a + i + kW), simd::Load(b + i + kW));
-      const simd::VecD r2 =
-          simd::Mul(simd::Load(a + i + 2 * kW), simd::Load(b + i + 2 * kW));
-      const simd::VecD r3 =
-          simd::Mul(simd::Load(a + i + 3 * kW), simd::Load(b + i + 3 * kW));
-      simd::Store(a + i, r0);
-      simd::Store(a + i + kW, r1);
-      simd::Store(a + i + 2 * kW, r2);
-      simd::Store(a + i + 3 * kW, r3);
-    }
-    for (; i + kW <= n; i += kW) {
-      simd::Store(a + i, simd::Mul(simd::Load(a + i), simd::Load(b + i)));
-    }
-  }
-  for (; i < n; ++i) a[i] *= b[i];
+  if (UseVector(variant)) return HadamardVec(a, b, n);
+  for (int64_t i = 0; i < n; ++i) a[i] *= b[i];
 }
 
 void MttkrpRow3(double* dst, double v, const double* r1, const double* r2,
                 int64_t f, KernelVariant variant) {
-  int64_t c = 0;
-  if (simd::kEnabled && variant == KernelVariant::kSimd) {
-    constexpr int64_t kW = simd::kWidth;
-    const simd::VecD vv = simd::Broadcast(v);
-    for (; c + kW <= f; c += kW) {
-      // (v * r1[c]) * r2[c], then add — the scalar expression's order.
-      const simd::VecD t =
-          simd::Mul(simd::Mul(vv, simd::Load(r1 + c)), simd::Load(r2 + c));
-      simd::Store(dst + c, simd::Add(simd::Load(dst + c), t));
-    }
-  }
-  for (; c < f; ++c) dst[c] += v * r1[c] * r2[c];
+  if (UseVector(variant)) return MttkrpRow3Vec(dst, v, r1, r2, f);
+  for (int64_t c = 0; c < f; ++c) dst[c] += v * r1[c] * r2[c];
 }
 
 void MttkrpFold(double* dst, const double* w, const double* p, int64_t f,
                 KernelVariant variant) {
-  int64_t c = 0;
-  if (simd::kEnabled && variant == KernelVariant::kSimd) {
-    constexpr int64_t kW = simd::kWidth;
-    for (; c + kW <= f; c += kW) {
-      const simd::VecD pv = simd::Load(p + c);
-      const simd::VecD d = simd::Load(dst + c);
-      simd::Store(dst + c, simd::SelectIfZero(
-                               pv, d, simd::MulAdd(simd::Load(w + c), pv, d)));
-    }
-  }
-  for (; c < f; ++c) {
+  if (UseVector(variant)) return MttkrpFoldVec(dst, w, p, f);
+  for (int64_t c = 0; c < f; ++c) {
     if (p[c] != 0.0) dst[c] += w[c] * p[c];
   }
 }
@@ -288,47 +378,27 @@ void MttkrpFold(double* dst, const double* w, const double* p, int64_t f,
 void MttkrpLeaves(double* dst, int64_t ldd, const double* x, int64_t ldx,
                   const double* v, const int64_t* rows, int64_t count,
                   int64_t f, KernelVariant variant) {
-  const bool vec = simd::kEnabled && variant == KernelVariant::kSimd;
+  if (UseVector(variant)) {
+    return MttkrpLeavesVec(dst, ldd, x, ldx, v, rows, count, f);
+  }
   for (int64_t e = 0; e < count; ++e) {
     if (v[e] == 0.0) continue;
     double* d = dst + rows[e] * ldd;
     const double* xr = x + rows[e] * ldx;
-    int64_t c = 0;
-    if (vec) {
-      constexpr int64_t kW = simd::kWidth;
-      const simd::VecD vv = simd::Broadcast(v[e]);
-      for (; c + kW <= f; c += kW) {
-        simd::Store(d + c,
-                    simd::MulAdd(vv, simd::Load(xr + c), simd::Load(d + c)));
-      }
-    }
-    for (; c < f; ++c) d[c] += v[e] * xr[c];
+    for (int64_t c = 0; c < f; ++c) d[c] += v[e] * xr[c];
   }
 }
 
 void MttkrpSeed(double* prod, double v, const double* row, int64_t f,
                 KernelVariant variant) {
-  int64_t c = 0;
-  if (simd::kEnabled && variant == KernelVariant::kSimd) {
-    constexpr int64_t kW = simd::kWidth;
-    const simd::VecD vv = simd::Broadcast(v);
-    for (; c + kW <= f; c += kW) {
-      simd::Store(prod + c, simd::Mul(vv, simd::Load(row + c)));
-    }
-  }
-  for (; c < f; ++c) prod[c] = v * row[c];
+  if (UseVector(variant)) return MttkrpSeedVec(prod, v, row, f);
+  for (int64_t c = 0; c < f; ++c) prod[c] = v * row[c];
 }
 
 void MttkrpAccum(double* dst, const double* src, int64_t f,
                  KernelVariant variant) {
-  int64_t c = 0;
-  if (simd::kEnabled && variant == KernelVariant::kSimd) {
-    constexpr int64_t kW = simd::kWidth;
-    for (; c + kW <= f; c += kW) {
-      simd::Store(dst + c, simd::Add(simd::Load(dst + c), simd::Load(src + c)));
-    }
-  }
-  for (; c < f; ++c) dst[c] += src[c];
+  if (UseVector(variant)) return MttkrpAccumVec(dst, src, f);
+  for (int64_t c = 0; c < f; ++c) dst[c] += src[c];
 }
 
 }  // namespace tpcp

@@ -1,20 +1,27 @@
-// Portable compile-time SIMD layer for the double-precision kernels.
+// Portable SIMD layer for the double-precision kernels (linalg/kernels.cc
+// is its only includer).
 //
-// One vector type, VecD, selected at compile time:
-//   - AVX2  (x86-64, __AVX2__):  4 doubles per lane group
-//   - NEON  (aarch64, __ARM_NEON): 2 doubles per lane group
-//   - scalar fallback: 1 double (always available)
-// Defining TPCP_FORCE_SCALAR (CMake option of the same name) pins the
-// scalar backend regardless of the architecture flags — the CI leg that
-// proves the vector kernels are bit-identical to the scalar ones.
+// One vector type, VecD, per target:
+//   - x86-64: AVX2 with FMA, 4 doubles per lane group. The x86-64 baseline
+//     has neither, so these functions, and every kernel body built on them,
+//     carry TPCP_VECTOR_TARGET (compiled for avx2,fma by attribute, not by a
+//     whole-file -mavx2) and run only after the run-time check in
+//     kernels.cc has found both features on the CPU.
+//   - aarch64 (__ARM_NEON): NEON, 2 doubles per lane group; baseline on
+//     that target, so always available.
+//   - anything else: width 1, a plain double. The kernels never dispatch
+//     to it; it only lets the one set of vector bodies compile everywhere.
+// Everything here has internal linkage: a function compiled for avx2 must
+// not become a shared (COMDAT) definition that baseline code could link
+// against.
 //
 // Determinism contract:
 //   - MulAdd(a, b, acc) computes acc + a*b with TWO roundings (separate
 //     multiply and add), exactly like the scalar expression `acc + a * b`.
 //     Kernels built on MulAdd are bit-identical to their scalar loops.
 //   - FusedMulAdd(a, b, acc) computes fma(a, b, acc) with ONE rounding on
-//     every backend (hardware FMA where available, std::fma otherwise —
-//     both correctly rounded, so the result is identical across backends).
+//     every backend (hardware FMA, or std::fma at width 1 — both correctly
+//     rounded, so the result is identical across backends).
 //     It is NOT bit-identical to MulAdd; kernels that use it are the
 //     KernelArith::kFma variants, which are fingerprinted options
 //     (core/config.h) precisely because they change the numbers.
@@ -28,60 +35,70 @@
 #include <cmath>
 #include <cstdint>
 
-#if !defined(TPCP_FORCE_SCALAR) && defined(__AVX2__)
+#if defined(__x86_64__)
 #define TPCP_SIMD_AVX2 1
+#define TPCP_VECTOR_TARGET __attribute__((target("avx2,fma")))
 #include <immintrin.h>
-#elif !defined(TPCP_FORCE_SCALAR) && defined(__ARM_NEON)
+#else
+#define TPCP_VECTOR_TARGET
+#if defined(__ARM_NEON)
 #define TPCP_SIMD_NEON 1
 #include <arm_neon.h>
+#endif
 #endif
 
 namespace tpcp {
 namespace simd {
+namespace {
 
 #if defined(TPCP_SIMD_AVX2)
 
-inline constexpr int kWidth = 4;
-inline constexpr const char* kTargetName = "avx2";
+constexpr int kWidth = 4;
+constexpr const char* kTargetName = "avx2";
+
+/// Whether this CPU (and OS) can run the AVX2+FMA bodies.
+inline bool CpuSupported() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
 
 struct VecD {
   __m256d v;
 };
 
-inline VecD Load(const double* p) { return {_mm256_loadu_pd(p)}; }
-inline void Store(double* p, VecD a) { _mm256_storeu_pd(p, a.v); }
-inline VecD Broadcast(double x) { return {_mm256_set1_pd(x)}; }
-inline VecD Zero() { return {_mm256_setzero_pd()}; }
-inline VecD Add(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
-inline VecD Mul(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
-inline VecD MulAdd(VecD a, VecD b, VecD acc) {
+TPCP_VECTOR_TARGET inline VecD Load(const double* p) {
+  return {_mm256_loadu_pd(p)};
+}
+TPCP_VECTOR_TARGET inline void Store(double* p, VecD a) {
+  _mm256_storeu_pd(p, a.v);
+}
+TPCP_VECTOR_TARGET inline VecD Broadcast(double x) {
+  return {_mm256_set1_pd(x)};
+}
+TPCP_VECTOR_TARGET inline VecD Add(VecD a, VecD b) {
+  return {_mm256_add_pd(a.v, b.v)};
+}
+TPCP_VECTOR_TARGET inline VecD Mul(VecD a, VecD b) {
+  return {_mm256_mul_pd(a.v, b.v)};
+}
+TPCP_VECTOR_TARGET inline VecD MulAdd(VecD a, VecD b, VecD acc) {
   return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
 }
-inline VecD SelectIfZero(VecD p, VecD if_zero, VecD otherwise) {
+TPCP_VECTOR_TARGET inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
+  return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
+}
+TPCP_VECTOR_TARGET inline VecD SelectIfZero(VecD p, VecD if_zero,
+                                            VecD otherwise) {
   const __m256d zero = _mm256_cmp_pd(p.v, _mm256_setzero_pd(), _CMP_EQ_OQ);
   return {_mm256_blendv_pd(otherwise.v, if_zero.v, zero)};
 }
-#if defined(__FMA__)
-inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
-  return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
-}
-#else
-// AVX2 without the FMA instruction set: keep the fused (single-rounding)
-// semantics via std::fma so kFma results stay identical across backends.
-inline VecD FusedMulAdd(VecD a, VecD b, VecD acc) {
-  alignas(32) double av[4], bv[4], cv[4];
-  _mm256_store_pd(av, a.v);
-  _mm256_store_pd(bv, b.v);
-  _mm256_store_pd(cv, acc.v);
-  for (int i = 0; i < 4; ++i) cv[i] = std::fma(av[i], bv[i], cv[i]);
-  return {_mm256_load_pd(cv)};
-}
-#endif
 
 #elif defined(TPCP_SIMD_NEON)
 
-inline constexpr int kWidth = 2;
-inline constexpr const char* kTargetName = "neon";
+constexpr int kWidth = 2;
+constexpr const char* kTargetName = "neon";
+
+inline bool CpuSupported() { return true; }
 
 struct VecD {
   float64x2_t v;
@@ -90,7 +107,6 @@ struct VecD {
 inline VecD Load(const double* p) { return {vld1q_f64(p)}; }
 inline void Store(double* p, VecD a) { vst1q_f64(p, a.v); }
 inline VecD Broadcast(double x) { return {vdupq_n_f64(x)}; }
-inline VecD Zero() { return {vdupq_n_f64(0.0)}; }
 inline VecD Add(VecD a, VecD b) { return {vaddq_f64(a.v, b.v)}; }
 inline VecD Mul(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) {
@@ -105,8 +121,10 @@ inline VecD SelectIfZero(VecD p, VecD if_zero, VecD otherwise) {
 
 #else
 
-inline constexpr int kWidth = 1;
-inline constexpr const char* kTargetName = "scalar";
+constexpr int kWidth = 1;
+constexpr const char* kTargetName = "scalar";
+
+inline bool CpuSupported() { return false; }
 
 struct VecD {
   double v;
@@ -115,7 +133,6 @@ struct VecD {
 inline VecD Load(const double* p) { return {*p}; }
 inline void Store(double* p, VecD a) { *p = a.v; }
 inline VecD Broadcast(double x) { return {x}; }
-inline VecD Zero() { return {0.0}; }
 inline VecD Add(VecD a, VecD b) { return {a.v + b.v}; }
 inline VecD Mul(VecD a, VecD b) { return {a.v * b.v}; }
 inline VecD MulAdd(VecD a, VecD b, VecD acc) { return {acc.v + a.v * b.v}; }
@@ -128,9 +145,7 @@ inline VecD SelectIfZero(VecD p, VecD if_zero, VecD otherwise) {
 
 #endif
 
-/// True when an explicit vector backend (width > 1) is compiled in.
-inline constexpr bool kEnabled = kWidth > 1;
-
+}  // namespace
 }  // namespace simd
 }  // namespace tpcp
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/blas.h"
 #include "linalg/cholesky.h"
@@ -85,6 +86,44 @@ TEST(SolveGramSystemTest, PinvFallbackOnSingularSystems) {
   // to range(S); spot-check the solution is exactly T S^+ by re-deriving.
   const Matrix expected = MatMul(t, PseudoInverse(ones));
   EXPECT_TRUE(Matrix::AlmostEqual(x, expected, 1e-10));
+}
+
+bool BitsEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+TEST(SolveGramSystemTest, RowSolveMatchesTransposedSolveBitwise) {
+  // The SPD path solves T's rows in place; it must reproduce the solve of
+  // the transposed right-hand side (transpose, CholeskySolveInPlace,
+  // transpose back) bit for bit.
+  for (int n : {1, 2, 5, 8, 13, 32}) {
+    for (int64_t m : {1, 7, 40}) {
+      const Matrix s = RandomSpd(n, 100 + static_cast<uint64_t>(n));
+      const Matrix t =
+          RandomMatrix(m, n, 300 + static_cast<uint64_t>(n * 64 + m));
+      Matrix factor = s;
+      ASSERT_TRUE(CholeskyFactor(&factor).ok());
+      Matrix rhs = t.Transposed();
+      CholeskySolveInPlace(factor, &rhs);
+      Matrix x;
+      EXPECT_EQ(SolveGramSystem(t, s, &x), 0.0);
+      EXPECT_TRUE(BitsEqual(x, rhs.Transposed())) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+TEST(SolveGramSystemTest, SingularFallbackIsExactlyTimesPseudoInverse) {
+  // Rank-deficient Grams (all-ones, and a Gram of fewer rows than
+  // columns) take the pseudo-inverse path: X = T S^+, bit for bit.
+  const Matrix low_rank = Gram(RandomMatrix(2, 5, 8));
+  for (const Matrix& s : {Matrix(3, 3, 1.0), low_rank}) {
+    const Matrix t = RandomMatrix(6, s.rows(), 9);
+    Matrix x;
+    EXPECT_EQ(SolveGramSystem(t, s, &x), -1.0);
+    EXPECT_TRUE(BitsEqual(x, MatMul(t, PseudoInverse(s))));
+  }
 }
 
 TEST(SolveGramSystemTest, AllZeroGramYieldsZeros) {

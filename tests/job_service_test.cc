@@ -301,7 +301,8 @@ TEST(JobServiceTest, CsfStoreDecomposesAndResumesLikeDense) {
   // A CSF-slab store is a drop-in for a dense one through the whole job
   // lifecycle: decompose, cancel at a checkpoint, auto-resume on
   // resubmission — and every fit along the way matches the dense store's
-  // bit for bit (the read path densifies to identical blocks).
+  // bit for bit (Phase 1 runs on the CSF slabs' non-zeros, and the CSF
+  // sweep replays the dense kernels' accumulation order).
   auto csf_env = NewMemEnv();
   auto dense_env = NewMemEnv();
   Stage(csf_env.get(), 43, SlabFormat::kCsf);

@@ -6,15 +6,19 @@
 // sanctioned divergence (one rounding instead of two), and must itself be
 // bit-identical across scalar and SIMD forms.
 //
-// These tests are the proof obligation behind running the CI matrix with
-// and without TPCP_FORCE_SCALAR: either leg runs them, and a vector
-// backend that rounds differently from the plain loops fails here first.
+// kSimd runs the vector backend the process selected at start-up (AVX2
+// on any x86-64 CPU with AVX2 and FMA), so on such a host these tests
+// compare the real vector bodies against the scalar reference; CI runs
+// them a second time under TPCP_SIMD=scalar. A vector backend that rounds
+// differently from the plain loops fails here first.
 
 #include "linalg/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -388,12 +392,61 @@ TEST(KernelsTest, MttkrpVariantsBitIdenticalAcrossBackends) {
   }
 }
 
+bool ScalarForced() {
+  const char* env = std::getenv("TPCP_SIMD");
+  return env != nullptr && std::strcmp(env, "scalar") == 0;
+}
+
 TEST(KernelsTest, SimdReportingIsConsistent) {
-  // SimdCompiled and the target name must agree; under TPCP_FORCE_SCALAR
-  // the name is "scalar" and compiled is false.
-  const bool compiled = SimdCompiled();
+  // The reported backend is the one kSimd runs: AVX2 wherever the CPU has
+  // AVX2 and FMA, NEON on aarch64, the scalar reference otherwise or
+  // under TPCP_SIMD=scalar.
   const std::string target = SimdTargetName();
-  EXPECT_EQ(compiled, target != "scalar");
+  EXPECT_EQ(SimdCompiled(), target != "scalar");
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool cpu_has_vector =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  EXPECT_EQ(target, cpu_has_vector && !ScalarForced() ? "avx2" : "scalar");
+#elif defined(__ARM_NEON)
+  EXPECT_EQ(target, ScalarForced() ? "scalar" : "neon");
+#else
+  EXPECT_EQ(target, "scalar");
+#endif
+}
+
+TEST(KernelsTest, ScalarOverrideRunsTheReference) {
+  // The backend is picked once per process, so the override is checked in
+  // a fresh one: the death-test child re-executes this binary with
+  // TPCP_SIMD=scalar in its environment.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* saved = std::getenv("TPCP_SIMD");
+  const std::string previous = saved != nullptr ? saved : "";
+  ASSERT_EQ(::setenv("TPCP_SIMD", "scalar", 1), 0);
+  EXPECT_EXIT(
+      {
+        constexpr int64_t kN = 9;
+        const std::vector<double> a = RandomVec(kN * kN, 71, 0.2);
+        const std::vector<double> b = RandomVec(kN * kN, 72);
+        std::vector<double> cs = RandomVec(kN * kN, 73);
+        std::vector<double> cv = cs;
+        MicroKernelNN(a.data(), kN, b.data(), kN, cs.data(), kN, kN, kN, kN,
+                      KernelVariant::kScalar, KernelArith::kExact);
+        MicroKernelNN(a.data(), kN, b.data(), kN, cv.data(), kN, kN, kN, kN,
+                      KernelVariant::kSimd, KernelArith::kExact);
+        const bool scalar = std::string(SimdTargetName()) == "scalar" &&
+                            !SimdCompiled();
+        const bool same = BitsEqual(cs.data(), cv.data(), kN * kN);
+        std::fprintf(stderr, "target=%s same=%d\n", SimdTargetName(),
+                     same ? 1 : 0);
+        std::exit(scalar && same ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "target=scalar same=1");
+  if (saved != nullptr) {
+    ::setenv("TPCP_SIMD", previous.c_str(), 1);
+  } else {
+    ::unsetenv("TPCP_SIMD");
+  }
 }
 
 }  // namespace

@@ -51,6 +51,20 @@ TEST(StoreManifestTest, GarbageIsCorruption) {
   }
 }
 
+TEST(StoreManifestTest, BadGeometryIsCorruptionNotACrash) {
+  // Each of these used to reach Shape(), which CHECK-aborts on it.
+  for (const char* bytes :
+       {"tpcp-manifest 4\nkind tensor\nshape 60 0 60\nparts 2 1 2\n",
+        "tpcp-manifest 4\nkind tensor\nshape 60 -4 60\nparts 2 1 2\n",
+        "tpcp-manifest 4\nkind tensor\nshape 4294967296 4294967296 4\n"
+        "parts 2 2 2\n",
+        "tpcp-manifest 4\nkind tensor\nshape 60 60 60\nparts 2 0 2\n"}) {
+    auto parsed = StoreManifest::Parse(bytes);
+    ASSERT_FALSE(parsed.ok()) << bytes;
+    EXPECT_TRUE(parsed.status().IsCorruption()) << bytes;
+  }
+}
+
 TEST(StoreManifestTest, NewerVersionIsIncompatibleNotCorrupt) {
   auto parsed = StoreManifest::Parse("tpcp-manifest 6\nkind tensor\n");
   ASSERT_FALSE(parsed.ok());
