@@ -5,6 +5,10 @@
 // U^(i)_[*,...,ki,...,*]. Sizes follow the paper's accounting:
 //
 //   bytes(⟨i,ki⟩) = (|partition ki of mode i| * F) * (1 + Π_{j≠i} K_j) * 8.
+//
+// The factor store holds a unit as two records, A_<i>_<ki> and the packed
+// U-slab S_<i>_<ki> (core/block_factors.h), so loading one costs two reads
+// whatever Π_{j≠i} K_j is; the byte count above is unchanged.
 
 #ifndef TPCP_BUFFER_DATA_UNIT_H_
 #define TPCP_BUFFER_DATA_UNIT_H_

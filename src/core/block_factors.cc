@@ -68,6 +68,10 @@ std::string BlockFactorStore::SubFactorName(int mode, int64_t part) const {
   return prefix_ + "/A_" + std::to_string(mode) + "_" + std::to_string(part);
 }
 
+std::string BlockFactorStore::SlabName(int mode, int64_t part) const {
+  return prefix_ + "/S_" + std::to_string(mode) + "_" + std::to_string(part);
+}
+
 Status BlockFactorStore::WriteBlockFactor(const BlockIndex& block, int mode,
                                           const Matrix& u) {
   const int64_t expected_rows =
@@ -75,6 +79,9 @@ Status BlockFactorStore::WriteBlockFactor(const BlockIndex& block, int mode,
   if (u.rows() != expected_rows || u.cols() != rank_) {
     return Status::InvalidArgument("block factor shape mismatch");
   }
+  const Status dropped =
+      env_->DeleteFile(SlabName(mode, block[static_cast<size_t>(mode)]));
+  if (!dropped.ok() && !dropped.IsNotFound()) return dropped;
   return WriteMatrix(env_, BlockFactorName(block, mode), u);
 }
 
@@ -93,6 +100,57 @@ Status BlockFactorStore::WriteSubFactor(int mode, int64_t part,
 
 Result<Matrix> BlockFactorStore::ReadSubFactor(int mode, int64_t part) const {
   return ReadMatrix(env_, SubFactorName(mode, part));
+}
+
+Status BlockFactorStore::PackSlab(int mode, int64_t part) {
+  const std::vector<BlockIndex> slab = SlabBlocks(mode, part);
+  const int64_t rows = grid_.PartitionSize(mode, part);
+  Matrix packed(static_cast<int64_t>(slab.size()) * rows, rank_);
+  for (size_t j = 0; j < slab.size(); ++j) {
+    TPCP_ASSIGN_OR_RETURN(const Matrix u, ReadBlockFactor(slab[j], mode));
+    if (u.rows() != rows || u.cols() != rank_) {
+      return Status::Corruption(BlockFactorName(slab[j], mode) +
+                                " does not have its block's shape");
+    }
+    packed.SetRows(static_cast<int64_t>(j) * rows, u);
+  }
+  return WriteMatrix(env_, SlabName(mode, part), packed);
+}
+
+Status BlockFactorStore::PackMissingSlabs(ThreadPool* pool) {
+  std::vector<std::pair<int, int64_t>> missing;
+  for (int mode = 0; mode < grid_.num_modes(); ++mode) {
+    for (int64_t part = 0; part < grid_.parts(mode); ++part) {
+      if (!env_->FileExists(SlabName(mode, part))) {
+        missing.emplace_back(mode, part);
+      }
+    }
+  }
+  std::vector<Status> status(missing.size());
+  ParallelFor(pool, 0, static_cast<int64_t>(missing.size()), [&](int64_t t) {
+    const auto [mode, part] = missing[static_cast<size_t>(t)];
+    status[static_cast<size_t>(t)] = PackSlab(mode, part);
+  });
+  for (const Status& s : status) TPCP_RETURN_IF_ERROR(s);
+  return Status::OK();
+}
+
+Result<std::vector<Matrix>> BlockFactorStore::ReadSlab(int mode,
+                                                       int64_t part) const {
+  TPCP_ASSIGN_OR_RETURN(const Matrix packed,
+                        ReadMatrix(env_, SlabName(mode, part)));
+  const int64_t blocks = grid_.NumBlocks() / grid_.parts(mode);
+  const int64_t rows = grid_.PartitionSize(mode, part);
+  if (packed.rows() != blocks * rows || packed.cols() != rank_) {
+    return Status::Corruption(SlabName(mode, part) +
+                              " does not have its slab's shape");
+  }
+  std::vector<Matrix> u;
+  u.reserve(static_cast<size_t>(blocks));
+  for (int64_t j = 0; j < blocks; ++j) {
+    u.push_back(packed.RowSlice(j * rows, (j + 1) * rows));
+  }
+  return u;
 }
 
 std::vector<BlockIndex> BlockFactorStore::SlabBlocks(int mode,

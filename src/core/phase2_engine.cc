@@ -102,6 +102,9 @@ Status Phase2Engine::Run(Phase2Result* result) {
     compute_pool = std::make_unique<ThreadPool>(options_.compute_threads);
   }
 
+  // LoadUnit reads U only through the packed S records; stores written
+  // without them (or with some deleted) get them here.
+  TPCP_RETURN_IF_ERROR(factors_->PackMissingSlabs(compute_pool.get()));
   RefinementState state(factors_, options_.refinement_ridge,
                         compute_pool.get(),
                         options_.kernel_fma ? KernelArith::kFma

@@ -99,12 +99,7 @@ Status RefinementState::LoadUnit(const ModePartition& unit) {
   UnitData data;
   TPCP_ASSIGN_OR_RETURN(data.a,
                         store_->ReadSubFactor(unit.mode, unit.part));
-  const std::vector<BlockIndex>& slab = slabs_.at(unit);
-  data.u.reserve(slab.size());
-  for (const BlockIndex& block : slab) {
-    TPCP_ASSIGN_OR_RETURN(Matrix u, store_->ReadBlockFactor(block, unit.mode));
-    data.u.push_back(std::move(u));
-  }
+  TPCP_ASSIGN_OR_RETURN(data.u, store_->ReadSlab(unit.mode, unit.part));
   std::lock_guard<std::mutex> lock(resident_mu_);
   const bool inserted = resident_.emplace(unit, std::move(data)).second;
   TPCP_CHECK(inserted) << "LoadUnit on already-resident unit";

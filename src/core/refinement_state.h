@@ -70,7 +70,8 @@ class RefinementState {
   /// thread count).
   Status Initialize(bool resume = false);
 
-  /// BufferPool load hook: materializes ⟨i,ki⟩ (A + U-slab) from the store.
+  /// BufferPool load hook: materializes ⟨i,ki⟩ from two reads, the A and
+  /// S records (BlockFactorStore::ReadSlab); the S record must exist.
   /// Safe to call concurrently with LoadUnit/EvictUnit for *distinct* units
   /// (the prefetch pipeline runs loads on worker threads); the store's Env
   /// must be thread-safe.

@@ -112,6 +112,9 @@ Status TwoPhaseCp::RunPhase1(ThreadPool* pool) {
 
   ParallelFor(pool, 0, static_cast<int64_t>(blocks.size()), decompose_one);
   TPCP_RETURN_IF_ERROR(first_error);
+  // Every block write dropped the S records it fed; pack them afresh so
+  // Phase 2 loads each unit in two reads.
+  TPCP_RETURN_IF_ERROR(factors_->PackMissingSlabs(pool));
 
   result_.phase1_seconds = watch.ElapsedSeconds();
   result_.blocks_decomposed = static_cast<int64_t>(blocks.size());

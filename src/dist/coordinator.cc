@@ -573,6 +573,7 @@ Status RunFleetAttempt(BlockFactorStore* factors,
     const std::vector<uint64_t> persist_before =
         result->measured_persist_bytes;
     std::map<ModePartition, Matrix> staged;
+    const GridPartition& grid = factors->grid();
     for (int w = 0; w < fleet_size; ++w) {
       for (;;) {
         JsonValue msg;
@@ -586,6 +587,10 @@ Status RunFleetAttempt(BlockFactorStore* factors,
         }
         TPCP_ASSIGN_OR_RETURN(const int64_t mode, GetInt(msg, "mode"));
         TPCP_ASSIGN_OR_RETURN(const int64_t part, GetInt(msg, "part"));
+        if (mode < 0 || mode >= grid.num_modes() || part < 0 ||
+            part >= grid.parts(static_cast<int>(mode))) {
+          return Status::InvalidArgument("subfactor frame: no such unit");
+        }
         const ModePartition unit{static_cast<int>(mode), part};
         if (dplan.OwnerOf(unit) != w) {
           return Status::Internal("dist worker " + std::to_string(w) +
@@ -595,11 +600,17 @@ Status RunFleetAttempt(BlockFactorStore* factors,
         if (a == nullptr) {
           return Status::InvalidArgument("subfactor frame: missing a");
         }
+        // Staged at the unit's own shape, so a chunk claiming another
+        // shape is rejected instead of sizing the allocation.
+        Matrix& sub_factor =
+            staged.try_emplace(unit, grid.PartitionSize(unit.mode, part),
+                               factors->rank())
+                .first->second;
+        TPCP_RETURN_IF_ERROR(DecodeMatrixRowsInto(*a, &sub_factor));
         TPCP_ASSIGN_OR_RETURN(const int64_t chunk_rows, GetInt(*a, "rc"));
-        TPCP_ASSIGN_OR_RETURN(const int64_t cols, GetInt(*a, "c"));
         result->measured_persist_bytes[static_cast<size_t>(w)] +=
-            static_cast<uint64_t>(chunk_rows * cols) * sizeof(double);
-        TPCP_RETURN_IF_ERROR(DecodeMatrixRowsInto(*a, &staged[unit]));
+            static_cast<uint64_t>(chunk_rows * factors->rank()) *
+            sizeof(double);
       }
     }
     // Integrity gate before the base store advances: every worker's
@@ -783,6 +794,10 @@ Status RunDistributedPhase2(BlockFactorStore* factors,
       }
     }
   }
+
+  // Workers load units through the packed S records; pack any missing
+  // ones once here, before a worker can load.
+  TPCP_RETURN_IF_ERROR(factors->PackMissingSlabs(nullptr));
 
   result->plan_fingerprint = plan.fingerprint();
   result->measured.assign(static_cast<size_t>(num_workers), WorkerTraffic{});

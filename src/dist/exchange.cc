@@ -153,13 +153,13 @@ Result<Matrix> DecodeMatrix(const JsonValue& v) {
   TPCP_ASSIGN_OR_RETURN(const int64_t rows, GetInt(v, "r"));
   TPCP_ASSIGN_OR_RETURN(const int64_t cols, GetInt(v, "c"));
   TPCP_ASSIGN_OR_RETURN(const std::string text, GetString(v, "d"));
-  if (rows < 0 || cols < 0) {
-    return Status::InvalidArgument("matrix: negative shape");
+  int64_t size = 0;
+  if (rows < 0 || cols < 0 || __builtin_mul_overflow(rows, cols, &size) ||
+      __builtin_mul_overflow(size, int64_t{sizeof(double)}, &size)) {
+    return Status::InvalidArgument("matrix: bad shape");
   }
   TPCP_ASSIGN_OR_RETURN(const std::string bytes, Base64Decode(text));
-  if (bytes.size() !=
-      static_cast<size_t>(rows) * static_cast<size_t>(cols) *
-          sizeof(double)) {
+  if (bytes.size() != static_cast<uint64_t>(size)) {
     return Status::InvalidArgument("matrix: payload does not match shape");
   }
   Matrix m(rows, cols);
@@ -188,15 +188,19 @@ Status DecodeMatrixRowsInto(const JsonValue& v, Matrix* out) {
   TPCP_ASSIGN_OR_RETURN(const int64_t row_count, GetInt(v, "rc"));
   TPCP_ASSIGN_OR_RETURN(const std::string text, GetString(v, "d"));
   if (rows <= 0 || cols <= 0 || row0 < 0 || row_count < 0 ||
-      row0 + row_count > rows) {
+      row0 > rows - row_count) {
     return Status::InvalidArgument("matrix chunk: bad slice");
   }
+  // The caller sized *out, so a matching r x c is a real allocation's
+  // shape and the byte counts below cannot overflow.
   if (out->rows() != rows || out->cols() != cols) {
-    *out = Matrix(rows, cols);
+    return Status::InvalidArgument("matrix chunk: shape differs from " +
+                                   std::to_string(out->rows()) + "x" +
+                                   std::to_string(out->cols()));
   }
   TPCP_ASSIGN_OR_RETURN(const std::string bytes, Base64Decode(text));
-  if (bytes.size() != static_cast<size_t>(row_count) *
-                          static_cast<size_t>(cols) * sizeof(double)) {
+  if (bytes.size() != static_cast<uint64_t>(row_count * cols) *
+                          sizeof(double)) {
     return Status::InvalidArgument("matrix chunk: payload mismatch");
   }
   std::memcpy(out->data() + row0 * cols, bytes.data(), bytes.size());
@@ -227,6 +231,9 @@ Result<GridPartition> DecodeGrid(const JsonValue& v) {
   for (const JsonValue& d : dims->array_items()) {
     if (!d.is_int()) return Status::InvalidArgument("grid: bad dim");
     dim_values.push_back(d.int_value());
+  }
+  if (const auto elements = CheckedElementCount(dim_values); !elements.ok()) {
+    return Status::InvalidArgument("grid: " + elements.status().message());
   }
   std::vector<int64_t> part_values;
   for (const JsonValue& p : parts->array_items()) {

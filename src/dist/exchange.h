@@ -51,7 +51,9 @@ Result<Matrix> DecodeMatrix(const JsonValue& v);
 /// Row slice [row0, row0+row_count) of `m` as {"r","c","r0","rc","d"} —
 /// the chunked form for matrices larger than one frame.
 JsonValue EncodeMatrixRows(const Matrix& m, int64_t row0, int64_t row_count);
-/// Installs a row-slice chunk into `*out` (resized to r x c on first use).
+/// Installs a row-slice chunk into `*out`, which the caller sizes: a chunk
+/// whose r x c differs from out's shape is InvalidArgument, so no
+/// allocation is ever sized by the wire.
 Status DecodeMatrixRowsInto(const JsonValue& v, Matrix* out);
 
 /// Grid geometry as {"dims","parts"}.

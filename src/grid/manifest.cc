@@ -140,17 +140,8 @@ Result<StoreManifest> StoreManifest::Parse(const std::string& bytes) {
   if (dims.empty() || parts.empty()) {
     return Status::Corruption("manifest is missing shape or parts");
   }
-  // Shape() CHECK-fails on what this rejects: a non-positive extent, or an
-  // element count that overflows int64.
-  int64_t elements = 1;
-  for (int64_t d : dims) {
-    if (d < 1) {
-      return Status::Corruption("manifest shape has extent " +
-                                std::to_string(d));
-    }
-    if (__builtin_mul_overflow(elements, d, &elements)) {
-      return Status::Corruption("manifest shape overflows the element count");
-    }
+  if (const auto elements = CheckedElementCount(dims); !elements.ok()) {
+    return Status::Corruption("manifest " + elements.status().message());
   }
   auto grid = GridPartition::Create(Shape(dims), parts);
   if (!grid.ok()) {

@@ -1,6 +1,9 @@
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -21,18 +24,24 @@ class PosixEnv : public Env {
 
   Status WriteFile(const std::string& name, const std::string& data) override {
     const fs::path path = Resolve(name);
-    std::error_code ec;
-    fs::create_directories(path.parent_path(), ec);
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
+    const int flags = O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC;
+    int fd = ::open(path.c_str(), flags, 0644);
+    if (fd < 0 && errno == ENOENT) {
+      // Only a missing directory makes open fail this way; create it once.
+      std::error_code ec;
+      fs::create_directories(path.parent_path(), ec);
+      fd = ::open(path.c_str(), flags, 0644);
+    }
+    if (fd < 0) {
       return Status::IOError("open for write failed: " + path.string() + ": " +
                              std::strerror(errno));
     }
-    const size_t written = data.empty()
-                               ? 0
-                               : std::fwrite(data.data(), 1, data.size(), f);
-    const int close_rc = std::fclose(f);
-    if (written != data.size() || close_rc != 0) {
+    const bool written =
+        Transfer(data.size(), [&](size_t done) {
+          return ::write(fd, data.data() + done, data.size() - done);
+        }) == data.size();
+    const int close_rc = ::close(fd);
+    if (!written || close_rc != 0) {
       return Status::IOError("short write: " + path.string());
     }
     stats_.RecordWrite(data.size());
@@ -41,21 +50,20 @@ class PosixEnv : public Env {
 
   Status ReadFile(const std::string& name, std::string* out) override {
     const fs::path path = Resolve(name);
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
       return Status::NotFound("no such file: " + path.string());
     }
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (size < 0) {
-      std::fclose(f);
-      return Status::IOError("ftell failed: " + path.string());
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      return Status::IOError("fstat failed: " + path.string());
     }
-    out->resize(static_cast<size_t>(size));
-    const size_t read =
-        size == 0 ? 0 : std::fread(out->data(), 1, out->size(), f);
-    std::fclose(f);
+    out->resize(static_cast<size_t>(st.st_size));
+    const size_t read = Transfer(out->size(), [&](size_t done) {
+      return ::read(fd, out->data() + done, out->size() - done);
+    });
+    ::close(fd);
     if (read != out->size()) {
       return Status::IOError("short read: " + path.string());
     }
@@ -102,6 +110,21 @@ class PosixEnv : public Env {
  private:
   fs::path Resolve(const std::string& name) const {
     return fs::path(root_) / name;
+  }
+
+  // Calls op(bytes_done) (one read or write syscall) until `size` bytes
+  // moved, retrying partial transfers and EINTR; returns the bytes moved
+  // before EOF or an error.
+  template <typename Op>
+  static size_t Transfer(size_t size, Op op) {
+    size_t done = 0;
+    while (done < size) {
+      const ssize_t n = op(done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      done += static_cast<size_t>(n);
+    }
+    return done;
   }
 
   std::string root_;

@@ -154,14 +154,19 @@ Status CheckEnvelope(const std::string& bytes, uint8_t expected_kind,
   return Status::OK();
 }
 
-// Shared header tail: the dims of a tensor record (all must be positive).
+// Shared header tail: the dims of a tensor record, which must make a
+// valid Shape (positive, element count within int64).
 Status ReadShapeDims(Reader* reader, uint32_t ndims,
                      std::vector<int64_t>* dims) {
   dims->resize(ndims);
   for (uint32_t i = 0; i < ndims; ++i) {
-    if (!reader->Read(&(*dims)[i]) || (*dims)[i] <= 0) {
+    if (!reader->Read(&(*dims)[i])) {
       return Status::Corruption("bad tensor dims");
     }
+  }
+  if (const auto elements = CheckedElementCount(*dims); !elements.ok()) {
+    return Status::Corruption("bad tensor dims: " +
+                              elements.status().message());
   }
   return Status::OK();
 }

@@ -16,6 +16,20 @@ Shape::Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) {
   num_elements_ = stride;
 }
 
+Result<int64_t> CheckedElementCount(const std::vector<int64_t>& dims) {
+  if (dims.empty()) return Status::InvalidArgument("shape has no extents");
+  int64_t elements = 1;
+  for (const int64_t d : dims) {
+    if (d < 1) {
+      return Status::InvalidArgument("shape has extent " + std::to_string(d));
+    }
+    if (__builtin_mul_overflow(elements, d, &elements)) {
+      return Status::InvalidArgument("shape overflows the element count");
+    }
+  }
+  return elements;
+}
+
 int64_t Shape::LinearIndex(const Index& index) const {
   TPCP_DCHECK(static_cast<int>(index.size()) == num_modes());
   int64_t linear = 0;

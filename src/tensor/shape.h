@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/logging.h"
+#include "util/status.h"
 
 namespace tpcp {
 
@@ -54,6 +55,12 @@ class Shape {
   std::vector<int64_t> strides_;  // row-major strides
   int64_t num_elements_ = 0;
 };
+
+/// Element count of a tensor with extents `dims`. InvalidArgument where
+/// Shape(dims) would CHECK-fail or overflow: no extents, an extent below 1,
+/// or a product past int64. Decoders of untrusted geometry call this
+/// before they build a Shape.
+Result<int64_t> CheckedElementCount(const std::vector<int64_t>& dims);
 
 }  // namespace tpcp
 

@@ -258,6 +258,53 @@ TEST(DistChannelTest, BothEndsDisableNagle) {
   ::close(*listen_fd);
 }
 
+JsonValue Frame(const std::string& text) {
+  auto v = JsonValue::Parse(text);
+  EXPECT_TRUE(v.ok()) << text;
+  return v.ok() ? *v : JsonValue();
+}
+
+// Each frame once crashed, or corrupted the heap of, the process that
+// decoded it; every one must come back as InvalidArgument.
+TEST(DistWireTest, HostileFramesAreRejectedNotFatal) {
+  // 2^62 x 4 x 4 overflows the element count.
+  auto grid = DecodeGrid(Frame(
+      R"({"dims":[4611686018427387904,4,4],"parts":[1,1,1]})"));
+  EXPECT_EQ(grid.status().code(), StatusCode::kInvalidArgument)
+      << grid.status().ToString();
+  for (const char* frame : {R"({"dims":[0,4,4],"parts":[1,1,1]})",
+                            R"({"dims":[],"parts":[]})"}) {
+    EXPECT_EQ(DecodeGrid(Frame(frame)).status().code(),
+              StatusCode::kInvalidArgument)
+        << frame;
+  }
+
+  // rows*cols*8 wraps to 0 (2^62 x 4), or past size_t (2^61 x 1).
+  for (const char* frame : {R"({"r":4611686018427387904,"c":4,"d":""})",
+                            R"({"r":2305843009213693952,"c":1,"d":""})"}) {
+    EXPECT_EQ(DecodeMatrix(Frame(frame)).status().code(),
+              StatusCode::kInvalidArgument)
+        << frame;
+  }
+
+  Matrix out(4, 1);
+  // A huge claimed shape, and a slice whose end overflows int64: neither
+  // may size an allocation or reach the copy.
+  for (const char* frame :
+       {R"({"r":2305843009213693952,"c":1,"r0":0,"rc":1,"d":"AAAAAAAAAAA="})",
+        R"({"r":4,"c":1,"r0":9223372036854775807,"rc":1,"d":"AAAAAAAAAAA="})",
+        R"({"r":4,"c":2,"r0":0,"rc":1,"d":"AAAAAAAAAAAAAAAAAAAAAA=="})"}) {
+    EXPECT_EQ(DecodeMatrixRowsInto(Frame(frame), &out).code(),
+              StatusCode::kInvalidArgument)
+        << frame;
+  }
+  // A well-formed chunk still lands in its rows.
+  Matrix src{{1.0}, {2.0}, {3.0}, {4.0}};
+  ASSERT_TRUE(DecodeMatrixRowsInto(EncodeMatrixRows(src, 1, 2), &out).ok());
+  EXPECT_EQ(out(1, 0), 2.0);
+  EXPECT_EQ(out(2, 0), 3.0);
+}
+
 TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
   const TwoPhaseCpOptions options = DistOptions();
 
@@ -315,6 +362,39 @@ TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
                 0u);
     }
   }
+}
+
+// A store without packed S records (written before slabs were packed, or
+// with them deleted) gets them from the coordinator before any worker
+// loads: the fleet runs clean and bit-identical to the engine.
+TEST(DistPhase2Test, StoreWithoutPackedSlabsRunsBitIdentical) {
+  const TwoPhaseCpOptions options = DistOptions();
+  Phase2Result reference;
+  OpenedEnv ref_env =
+      RunEngineReference("dist_unpacked_ref", options, &reference);
+
+  auto env = OpenEnv("posix://" + ::testing::TempDir() + "dist_unpacked");
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  PreparePhase1Store(env->get(), options);
+  for (const std::string& name : (*env)->ListFiles("f/S_")) {
+    ASSERT_TRUE((*env)->DeleteFile(name).ok());
+  }
+  BlockFactorStore factors(env->get(), "f", TestGrid(), options.rank);
+  WorkerFleet fleet;
+  DistributedRunOptions dopts;
+  dopts.num_workers = 2;
+  dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
+  DistributedRunResult result;
+  const Status status =
+      RunDistributedPhase2(&factors, options, dopts, &result);
+  fleet.Join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(result.respawns, 0);
+  EXPECT_FALSE(result.finished_single_process);
+  ExpectPhase2Equal(result.phase2, reference);
+  ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
+  EXPECT_EQ((*env)->ListFiles("f/S_").size(),
+            static_cast<size_t>(3 * kParts));
 }
 
 TEST(DistPhase2Test, WorkerCrashMidWaveFailsCleanAndResumesBitIdentical) {

@@ -158,11 +158,74 @@ TEST(Phase2AsyncTest, BackgroundLoadErrorPropagates) {
   ASSERT_TRUE(engine.RunPhase1().ok());
   // RefinementState::Initialize performs 30 reads on this 2x2x2 grid (6
   // slab seeds + 8 blocks x 3 modes); allow those and fail during the
-  // buffered refinement loop's unit loads (5 reads per load).
+  // buffered refinement loop's unit loads (2 reads per load: A and S).
   static_cast<FaultyEnv*>(f.env)->FailReadsAfter(40);
   const Status status = engine.RunPhase2();
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsIOError()) << status.ToString();
+}
+
+// Phase 2 packs the slabs a store lacks (one written before slabs were
+// packed, or with its S records deleted), and the refinement is bitwise
+// the one the Phase-1-packed store gives.
+TEST(Phase2AsyncTest, MissingSlabsRepackBitIdentical) {
+  struct Run {
+    std::vector<double> trace;
+    std::vector<Matrix> factors;
+  };
+  auto run = [](bool drop_slabs) {
+    Fixture f = MakeFixture(Shape({16, 16, 16}), 4, 2);
+    TwoPhaseCpOptions options = BaseOptions(2);
+    options.prefetch_depth = 2;
+    TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
+    TPCP_CHECK(engine.RunPhase1().ok());
+    const std::vector<std::string> slabs = f.mem->ListFiles("factors/S_");
+    EXPECT_EQ(slabs.size(), 12u);
+    if (drop_slabs) {
+      for (const std::string& name : slabs) {
+        TPCP_CHECK(f.mem->DeleteFile(name).ok());
+      }
+    }
+    TPCP_CHECK(engine.RunPhase2().ok());
+    EXPECT_EQ(f.mem->ListFiles("factors/S_"), slabs);
+    Run result;
+    result.trace = engine.result().fit_trace;
+    for (int mode = 0; mode < 3; ++mode) {
+      auto m = f.factors->AssembleFullFactor(mode);
+      TPCP_CHECK(m.ok());
+      result.factors.push_back(*std::move(m));
+    }
+    return result;
+  };
+  const Run packed = run(false);
+  const Run repacked = run(true);
+  ASSERT_FALSE(packed.trace.empty());
+  EXPECT_EQ(repacked.trace, packed.trace);
+  for (int mode = 0; mode < 3; ++mode) {
+    EXPECT_TRUE(repacked.factors[static_cast<size_t>(mode)] ==
+                packed.factors[static_cast<size_t>(mode)])
+        << "mode " << mode;
+  }
+}
+
+// A damaged S record fails its unit's load with Corruption, whether the
+// load runs on the compute thread or on a prefetch worker.
+TEST(Phase2AsyncTest, CorruptSlabIsCorruption) {
+  for (int depth : {0, 2}) {
+    Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2);
+    TwoPhaseCpOptions options = BaseOptions(2);
+    options.prefetch_depth = depth;
+    TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
+    ASSERT_TRUE(engine.RunPhase1().ok());
+    const std::string name = f.factors->SlabName(1, 0);
+    std::string bytes;
+    ASSERT_TRUE(f.mem->ReadFile(name, &bytes).ok());
+    bytes[bytes.size() / 2] ^= 0x40;
+    ASSERT_TRUE(f.mem->WriteFile(name, bytes).ok());
+    const Status status = engine.RunPhase2();
+    EXPECT_TRUE(status.IsCorruption())
+        << "depth " << depth << ": " << status.ToString();
+  }
 }
 
 // A write failure during a background dirty writeback must also surface.

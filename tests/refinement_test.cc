@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
@@ -186,6 +188,53 @@ TEST(RefinementStateTest, ResumeFailsWithoutPersistedSubFactors) {
   RefinementState state(f.factors.get());
   // No prior Initialize: the store has block factors but no sub-factors.
   EXPECT_TRUE(state.Initialize(/*resume=*/true).IsNotFound());
+}
+
+// A load costs two reads however long the slab: A and the packed S.
+TEST(RefinementStateTest, LoadUnitReadsTwoRecords) {
+  Fixture f = MakeFixture(2, 3);
+  RefinementState state(f.factors.get());
+  ASSERT_TRUE(state.Initialize().ok());
+  for (const ModePartition& unit : {ModePartition{0, 0}, ModePartition{2, 1}}) {
+    const uint64_t before = f.env->stats().reads();
+    ASSERT_TRUE(state.LoadUnit(unit).ok());
+    EXPECT_EQ(f.env->stats().reads() - before, 2u);
+  }
+}
+
+// A second Phase 1 under another seed rewrites every block factor; no
+// packed slab of the first run may survive it.
+TEST(RefinementStateTest, RerunPhase1RepacksEverySlab) {
+  Fixture f = MakeFixture(2, 4);
+  std::map<std::string, std::string> first;
+  for (int mode = 0; mode < 3; ++mode) {
+    for (int64_t part = 0; part < 2; ++part) {
+      const std::string name = f.factors->SlabName(mode, part);
+      ASSERT_TRUE(f.env->ReadFile(name, &first[name]).ok());
+    }
+  }
+  TwoPhaseCpOptions options;
+  options.rank = 2;
+  options.seed = 99;
+  TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
+  ASSERT_TRUE(engine.RunPhase1().ok());
+  for (int mode = 0; mode < 3; ++mode) {
+    for (int64_t part = 0; part < 2; ++part) {
+      std::string bytes;
+      const std::string name = f.factors->SlabName(mode, part);
+      ASSERT_TRUE(f.env->ReadFile(name, &bytes).ok());
+      EXPECT_NE(bytes, first[name]) << name;
+      auto slab = f.factors->ReadSlab(mode, part);
+      ASSERT_TRUE(slab.ok()) << slab.status().ToString();
+      const std::vector<BlockIndex> blocks = f.factors->SlabBlocks(mode, part);
+      ASSERT_EQ(slab->size(), blocks.size());
+      for (size_t j = 0; j < blocks.size(); ++j) {
+        auto u = f.factors->ReadBlockFactor(blocks[j], mode);
+        ASSERT_TRUE(u.ok());
+        EXPECT_TRUE((*slab)[j] == *u) << name << " block " << j;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 namespace tpcp {
 namespace {
 
@@ -13,6 +16,21 @@ TEST(ShapeTest, BasicProperties) {
   EXPECT_EQ(s.NumElements(), 60);
   EXPECT_EQ(s.NumElementsExcept(1), 15);
   EXPECT_EQ(s.ToString(), "3x4x5");
+}
+
+TEST(ShapeTest, CheckedElementCountRejectsWhatShapeCannotHold) {
+  auto ok = CheckedElementCount({3, 4, 5});
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, 60);
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(*CheckedElementCount({max}), max);
+  for (const std::vector<int64_t>& dims :
+       std::vector<std::vector<int64_t>>{
+           {}, {0}, {4, -1, 4}, {int64_t{1} << 62, 4, 4}, {max, 2}}) {
+    EXPECT_EQ(CheckedElementCount(dims).status().code(),
+              StatusCode::kInvalidArgument)
+        << dims.size();
+  }
 }
 
 TEST(ShapeTest, RowMajorLinearization) {

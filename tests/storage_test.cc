@@ -445,6 +445,17 @@ TEST(SerializerTest, CountsLargerThanTheRecordAreCorruption) {
   EXPECT_TRUE(DeserializeSparse(Sealed(coo)).status().IsCorruption());
   EXPECT_TRUE(DeserializeCsfAny(Sealed(coo)).status().IsCorruption());
 
+  // Sparse dims whose dense element count overflows int64, with one entry
+  // in range: no Shape can index them (this record used to segfault).
+  std::string coo_dims = Header(3, {int64_t{1} << 62, 4, 4});
+  AppendPodTo(&coo_dims, int64_t{1});
+  for (int64_t c : {int64_t{1} << 61, int64_t{0}, int64_t{0}}) {
+    AppendPodTo(&coo_dims, c);
+  }
+  AppendPodTo(&coo_dims, 1.0);
+  EXPECT_TRUE(DeserializeSparse(Sealed(coo_dims)).status().IsCorruption());
+  EXPECT_TRUE(DeserializeTensorAny(Sealed(coo_dims)).status().IsCorruption());
+
   // Dense dims whose product overflows int64, and a matrix far larger
   // than its record.
   const std::string dense = Sealed(Header(2, {huge, huge, huge}));
