@@ -1,17 +1,15 @@
 // Buffer pool over data units ⟨i, ki⟩ with pluggable replacement.
 //
-// Used in three ways:
-//  - by the synchronous Phase-2 engine, with load/evict callbacks that move
-//    real data through an Env (Access);
-//  - by the asynchronous Phase-2 prefetch pipeline, which drives residency
-//    with the non-blocking Reserve/Pin/Unpin API and performs the data
-//    movement itself on worker threads;
-//  - by the swap simulator (core/swap_simulator.h), with no callbacks, to
-//    count data swaps exactly as the paper's Figure 12 does.
+// Used in two ways:
+//  - by Phase 2's prefetch pipeline (buffer/prefetch_pipeline.h), which
+//    drives residency with the Reserve/Pin/Unpin API and moves the bytes
+//    itself; the pool's evict callback only serves the final Flush;
+//  - by the swap simulator (core/swap_simulator.h), through Access with no
+//    callback, to count data swaps exactly as the paper's Figure 12 does.
 //
 // The pool itself is not thread-safe: all calls must come from one thread
-// (the Phase-2 compute thread). The async pipeline confines pool bookkeeping
-// to the compute thread and only moves bytes on workers.
+// (the Phase-2 compute thread). The pipeline confines pool bookkeeping to
+// the compute thread and only moves bytes on workers.
 
 #ifndef TPCP_BUFFER_BUFFER_POOL_H_
 #define TPCP_BUFFER_BUFFER_POOL_H_
@@ -40,7 +38,7 @@ struct BufferStats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
 
-  // Overlap accounting (asynchronous Phase-2 engine).
+  // Overlap accounting (Phase-2 prefetch pipeline).
   uint64_t prefetch_hits = 0;   // loads issued ahead that finished in time
   double stall_seconds = 0.0;   // compute thread blocked on a load
   double writeback_seconds = 0.0;  // time spent writing dirty units back
@@ -55,8 +53,6 @@ struct BufferStats {
 /// Byte-budget buffer of data units.
 class BufferPool {
  public:
-  /// Called when a unit must be materialized in memory (on miss).
-  using LoadCallback = std::function<Status(const ModePartition&)>;
   /// Called when a unit is evicted; `dirty` indicates it must be persisted.
   using EvictCallback = std::function<Status(const ModePartition&, bool dirty)>;
   /// A victim evicted by Reserve: the unit and whether it was dirty.
@@ -68,19 +64,21 @@ class BufferPool {
   BufferPool(uint64_t capacity_bytes, UnitCatalog catalog,
              std::unique_ptr<ReplacementPolicy> policy);
 
-  /// Data-movement hooks (may be left unset for pure simulation).
-  void SetCallbacks(LoadCallback on_load, EvictCallback on_evict);
+  /// Eviction hook for Access and Flush (may be left unset for pure
+  /// simulation). Dirty writebacks through it count as writeback_seconds.
+  void SetEvictCallback(EvictCallback on_evict);
 
-  /// Touches `unit` at schedule position `pos`: counts a hit or performs a
-  /// swap-in (evicting victims per policy until the unit fits). Pinned
-  /// units are never selected as victims.
+  /// Touches `unit` at schedule position `pos`: counts a hit or a swap-in
+  /// (evicting victims per policy until the unit fits). Pinned units are
+  /// never selected as victims. Moves no bytes in: the swap simulator's
+  /// bookkeeping.
   Status Access(const ModePartition& unit, int64_t pos);
 
-  // ---- Non-blocking reservation API (async prefetch path) ----
+  // ---- Reservation API (prefetch pipeline) ----
   //
   // Reserve marks a non-resident unit resident-and-pinned and makes room
-  // for it by evicting unpinned victims, but does NOT invoke the load or
-  // evict callbacks: the caller owns the actual data movement. Victims are
+  // for it by evicting unpinned victims, but does NOT invoke the evict
+  // callback: the caller owns the actual data movement. Victims are
   // reported through `evicted` so the caller can write dirty ones back in
   // the background. Fails with ResourceExhausted — with no side effects —
   // when pinned units block the required space.
@@ -89,7 +87,7 @@ class BufferPool {
                  std::vector<Eviction>* evicted);
 
   /// Pins an already-resident unit and reports the touch to the policy
-  /// (the async analogue of a hit in Access). CHECK-fails if not resident.
+  /// (the pipeline's analogue of a hit in Access). CHECK-fails if not resident.
   /// No access is counted yet: the pipeline reserves steps that may never
   /// execute, so it counts accesses via RecordAccess when a step runs.
   void TouchResident(const ModePartition& unit, int64_t pos);
@@ -101,9 +99,8 @@ class BufferPool {
     if (hit) ++stats_.hits;
   }
 
-  /// Increments / decrements the unit's pin count. A pinned unit cannot be
-  /// evicted. CHECK-fails if not resident (or, for Unpin, not pinned).
-  void Pin(const ModePartition& unit);
+  /// Decrements the unit's pin count (Reserve and TouchResident pin). A
+  /// pinned unit cannot be evicted. CHECK-fails if not resident or pinned.
   void Unpin(const ModePartition& unit);
 
   /// Overlap-stat recorders (compute thread only, like every other call).
@@ -135,8 +132,6 @@ class BufferPool {
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
-  /// Total bytes of units with a non-zero pin count.
-  uint64_t pinned_bytes() const;
   int64_t resident_units() const {
     return static_cast<int64_t>(resident_.size());
   }
@@ -145,7 +140,6 @@ class BufferPool {
   void ResetStats() { stats_ = BufferStats(); }
 
   const UnitCatalog& catalog() const { return catalog_; }
-  ReplacementPolicy* policy() { return policy_.get(); }
 
  private:
   struct Entry {
@@ -156,7 +150,6 @@ class BufferPool {
   /// Unpinned resident units other than `keep`.
   std::vector<ModePartition> EvictionCandidates(
       const ModePartition& keep) const;
-  Status EvictOne(const ModePartition& keep, int64_t pos);
   // `unit` is taken by value: callers may pass a reference into resident_
   // itself (e.g. Flush), which erase would turn into a dangling key.
   Status Evict(ModePartition unit);
@@ -168,7 +161,6 @@ class BufferPool {
   uint64_t used_ = 0;
   UnitCatalog catalog_;
   std::unique_ptr<ReplacementPolicy> policy_;
-  LoadCallback on_load_;
   EvictCallback on_evict_;
   std::map<ModePartition, Entry> resident_;
   BufferStats stats_;

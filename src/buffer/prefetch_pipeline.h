@@ -1,4 +1,6 @@
-// Schedule-driven asynchronous swap pipeline for the Phase-2 refinement.
+// Schedule-driven swap pipeline for the Phase-2 refinement: the one way
+// Phase 2 (the single-process engine and every dist worker) brings data
+// units in.
 //
 // Phase 2's entire unit-access trace is known in advance (the property the
 // forward-looking replacement policy already exploits), so data movement can
@@ -14,7 +16,11 @@
 //    reserved units and the evict callback for dirty victims.
 //  - A load of a unit whose previous incarnation still has a writeback in
 //    flight waits for that writeback first (per-unit write-then-read
-//    ordering), so results are bit-identical to the synchronous engine.
+//    ordering), so results are bit-identical at every depth.
+//
+// Depth 0 has no lookahead and no worker threads: BeginBatch writes victims
+// back and loads the batch's units inline (the load counts as stall, never
+// as a prefetch hit), so swaps and hits are a plain access loop's.
 //
 // Reserved units stay pinned until their step completes, so a prefetched
 // unit can never be evicted before it is used. When pinned units fill the
@@ -26,6 +32,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,10 +44,10 @@
 
 namespace tpcp {
 
-/// Asynchronous load/writeback engine in front of a BufferPool, driven by
-/// an ExecutionPlan: units are reserved in the plan's (possibly
-/// reordered) step order, the plan's prefetch_depth() steps ahead of the
-/// step in flight.
+/// Load/writeback engine in front of a BufferPool, driven by an
+/// ExecutionPlan: units are reserved in the plan's (possibly reordered)
+/// step order, the plan's prefetch_depth() steps ahead of the step in
+/// flight.
 ///
 /// Usage (compute thread only; `n` is 1 for serial compute, up to a plan
 /// wave for the parallel engine):
@@ -54,8 +61,11 @@ namespace tpcp {
 ///   TPCP_RETURN_IF_ERROR(pool.Flush());                // sync writebacks
 class PrefetchPipeline {
  public:
+  using LoadCallback = std::function<Status(const ModePartition&)>;
+
   struct Options {
-    /// Worker threads moving bytes. I/O-bound, so a small number suffices.
+    /// Worker threads moving bytes (depth >= 1 only). I/O-bound, so a
+    /// small number suffices.
     int io_threads = 2;
     /// Optional cancellation token (non-owning). Once it fires, the window
     /// stops growing — no new speculative loads are issued — so a
@@ -64,38 +74,41 @@ class PrefetchPipeline {
     /// First plan position that will be executed (> 0 when a resumed
     /// refinement continues from a checkpoint cursor).
     int64_t start_pos = 0;
+    /// Optional: true for the plan positions the caller executes (a dist
+    /// worker's owned steps). The window skips every other position — it
+    /// neither reserves nor loads their units. Null means every position.
+    std::function<bool(int64_t)> owned;
   };
 
-  /// `pool` must have no load callback installed for the pipeline's benefit
-  /// (the pipeline performs loads itself through `load`); an evict callback
-  /// on the pool is still honored by the final Flush. Steps must be
-  /// executed in increasing `pos` order starting at options.start_pos.
+  /// The pipeline performs loads and evictions itself through `load` and
+  /// `evict`; an evict callback on the pool only serves its final Flush.
+  /// Steps must be executed in increasing `pos` order starting at
+  /// options.start_pos (owned positions only, when options.owned is set).
   /// `plan` (non-owning, must outlive the pipeline) supplies the step
-  /// order and the prefetch directives; plan->prefetch_depth() must be
-  /// >= 1 (depth 0 means "do not use a pipeline at all").
+  /// order and the prefetch directives; plan->prefetch_depth() is the
+  /// lookahead (0: inline I/O, no threads).
   PrefetchPipeline(BufferPool* pool, const ExecutionPlan* plan,
-                   BufferPool::LoadCallback load,
-                   BufferPool::EvictCallback evict, Options options);
-
-  /// Joins outstanding I/O. Call Drain() first for error reporting.
-  ~PrefetchPipeline();
+                   LoadCallback load, BufferPool::EvictCallback evict,
+                   Options options);
 
   PrefetchPipeline(const PrefetchPipeline&) = delete;
   PrefetchPipeline& operator=(const PrefetchPipeline&) = delete;
 
   /// Acquires the steps at positions [pos, pos + max_count) — resident,
   /// pinned, loads complete — blocking if the prefetch has not caught up
-  /// (the blocked time is recorded as stall_seconds) and stopping early
-  /// when pinned units leave no room (or the ahead-of-time miss budget is
-  /// spent). Reports how many steps it actually acquired in `*acquired`
-  /// (>= 1 on OK; the due step always fits) and any background I/O error.
+  /// (the blocked time, or at depth 0 the inline load, is recorded as
+  /// stall_seconds) and stopping early when pinned units leave no room
+  /// (or the ahead-of-time miss budget is spent). Reports how many
+  /// positions it actually acquired in `*acquired` (>= 1 on OK; the due
+  /// step always fits) and any I/O error. `pos` must be an owned
+  /// position; unowned positions inside the range are skipped.
   /// The caller runs the acquired steps in any order/concurrently — they
   /// must be conflict-free for max_count > 1 — then releases them with
   /// EndBatch(pos, *acquired). max_count == 1 is the serial engine's
   /// step-at-a-time case.
   Status BeginBatch(int64_t pos, int64_t max_count, int64_t* acquired);
 
-  /// Releases the pins of the `count` steps acquired by BeginBatch and
+  /// Releases the pins of the `count` positions acquired by BeginBatch and
   /// extends the reservation window to the plan's depth past the last
   /// executed step (the window stops growing once the cancellation token
   /// fires).
@@ -113,9 +126,10 @@ class PrefetchPipeline {
     Status status = Status::OK();
   };
   struct WindowSlot {
+    int64_t pos;  // plan position of the step
     ModePartition unit;
     // Load this slot's step must wait on (null when the unit was resident
-    // with no load in flight).
+    // with no load in flight, or was loaded inline at depth 0).
     std::shared_ptr<AsyncOp> load;
     // True when the load was issued before BeginBatch reached the slot.
     bool issued_ahead = false;
@@ -127,26 +141,29 @@ class PrefetchPipeline {
     bool counts_against_budget = false;
   };
 
-  /// Reserves position `p`'s unit and starts its load. Returns false when
-  /// pinned units leave no room (the window cannot grow yet).
+  /// Reserves position `p`'s unit and starts its load (or skips an unowned
+  /// `p`). Returns false when pinned units leave no room (the window
+  /// cannot grow yet). Inline (depth-0) I/O errors land in first_error_.
   bool TryIssue(int64_t p, bool ahead);
+  /// Writes a dirty victim back, timing it and recording any error.
+  Status WriteBack(const ModePartition& victim);
+  void RecordError(const Status& status);
   /// Blocks until `op` completes; returns seconds waited.
   double AwaitOp(const std::shared_ptr<AsyncOp>& op);
   Status FirstError();
 
   BufferPool* pool_;
   const ExecutionPlan* plan_;
-  BufferPool::LoadCallback load_;
+  LoadCallback load_;
   BufferPool::EvictCallback evict_;
   Options options_;
 
   // Window of reserved-but-not-completed steps: front is the next step to
-  // execute, back is the furthest reservation (position next_issue_ - 1).
+  // execute, back is the furthest reservation (below next_issue_).
   std::deque<WindowSlot> window_;
   int64_t next_issue_;
-  // Bytes of in-window miss reservations (prefetch loads); capped at half
-  // the pool's capacity so the window cannot thrash the policy's working
-  // set (see TryIssue).
+  // Bytes of in-window miss reservations (prefetch loads); capped so the
+  // window cannot thrash the policy's working set (see TryIssue).
   uint64_t window_load_bytes_ = 0;
 
   // In-flight or completed loads / writebacks by unit. Entries are erased
@@ -160,7 +177,8 @@ class PrefetchPipeline {
   Status first_error_;
   double writeback_seconds_ = 0.0;
 
-  // Last member: destroyed (joined) before the state it uses.
+  // Last member: destroyed — joining outstanding I/O; call Drain() first
+  // for error reporting — before the state it uses. Null at depth 0.
   std::unique_ptr<ThreadPool> io_pool_;
 };
 

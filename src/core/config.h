@@ -55,12 +55,12 @@ struct TwoPhaseCpOptions {
   /// store (e.g. after an interrupted run whose dirty units were flushed)
   /// instead of re-seeding from the Phase-1 block factors.
   bool resume_phase2 = false;
-  /// Prefetch lookahead of the asynchronous Phase-2 data path: unit loads
-  /// for the next `prefetch_depth` schedule steps are issued on worker
-  /// threads while the current update computes, and dirty evictions are
-  /// written back in the background. 0 keeps the fully synchronous engine
-  /// (bit-identical swap counts); any depth produces identical factors and
-  /// fit traces — the pipeline changes timing, never math.
+  /// Prefetch lookahead of the Phase-2 pipeline: unit loads for the next
+  /// `prefetch_depth` schedule steps are issued on worker threads while
+  /// the current update computes, and dirty evictions are written back in
+  /// the background. 0 moves every byte inline on the compute thread; any
+  /// depth produces identical factors and fit traces — the pipeline
+  /// changes timing, never math. Dist workers honor it too.
   int prefetch_depth = 0;
   /// Worker threads moving bytes for the prefetch pipeline (>= 1; only
   /// used when prefetch_depth > 0). I/O-bound, so a small number suffices.

@@ -204,38 +204,20 @@ Status Phase2Engine::Run(Phase2Result* result) {
   BufferPool pool(capacity, catalog,
                   NewPolicy(options_.policy, &schedule, plan.lookahead(),
                             options_.policy_victim_hints));
-  auto load = [&state](const ModePartition& unit) {
-    return state.LoadUnit(unit);
-  };
   auto evict = [&state](const ModePartition& unit, bool dirty) {
     return state.EvictUnit(unit, dirty);
   };
-  // Synchronous evictions (the depth-0 path and the final Flush) charge
-  // their dirty writes to writeback_seconds so both data paths report
-  // comparable overlap accounting.
-  auto timed_evict = [&pool, evict](const ModePartition& unit, bool dirty) {
-    if (!dirty) return evict(unit, dirty);
-    Stopwatch w;
-    const Status s = evict(unit, dirty);
-    pool.RecordWriteback(w.ElapsedSeconds());
-    return s;
-  };
-
-  const bool async = options_.prefetch_depth > 0;
-  std::unique_ptr<PrefetchPipeline> pipeline;
-  if (async) {
-    // The pipeline moves all bytes itself; the pool's evict callback only
-    // serves the final Flush of reserved-but-unused prefetches.
-    pool.SetCallbacks(nullptr, timed_evict);
-    PrefetchPipeline::Options popts;
-    popts.io_threads = options_.io_threads;
-    popts.cancel = options_.cancel;
-    popts.start_pos = pos;
-    pipeline = std::make_unique<PrefetchPipeline>(&pool, &plan, load,
-                                                  evict, popts);
-  } else {
-    pool.SetCallbacks(load, timed_evict);
-  }
+  // The pipeline moves every step's bytes; the pool's evict callback only
+  // serves the final Flush.
+  pool.SetEvictCallback(evict);
+  PrefetchPipeline::Options popts;
+  popts.io_threads = options_.io_threads;
+  popts.cancel = options_.cancel;
+  popts.start_pos = pos;
+  PrefetchPipeline pipeline(
+      &pool, &plan,
+      [&state](const ModePartition& unit) { return state.LoadUnit(unit); },
+      evict, std::move(popts));
 
   double prev_fit =
       result->fit_trace.empty() ? state.SurrogateFit()
@@ -270,57 +252,14 @@ Status Phase2Engine::Run(Phase2Result* result) {
               ? 1
               : std::min(plan.WaveEndAfter(pos), vi_end) - pos;
       int64_t count = 0;
-      if (async) {
-        loop_status = pipeline->BeginBatch(pos, want, &count);
-        if (!loop_status.ok()) break;
-        RunBatch(&state, plan, pos, count, compute_pool.get());
-        for (int64_t i = 0; i < count; ++i) {
-          pool.MarkDirty(schedule.UnitAt(pos + i));
-        }
-        loop_status = pipeline->EndBatch(pos, count);
-        if (!loop_status.ok()) break;
-      } else {
-        // Synchronous path: bring each unit of the wave in with Access —
-        // charging miss waits to stall_seconds exactly like the serial
-        // engine — and pin it until the wave's updates complete. Wave
-        // growth stops when pinned units would leave no reclaimable room
-        // for the next miss; the first step always fits (nothing is
-        // pinned between waves).
-        while (count < want) {
-          const ModePartition unit = schedule.UnitAt(pos + count);
-          if (count > 0 && !pool.IsResident(unit) &&
-              pool.capacity_bytes() - pool.pinned_bytes() <
-                  pool.catalog().UnitBytes(unit)) {
-            break;
-          }
-          Stopwatch access_watch;
-          const uint64_t swap_ins_before = pool.stats().swap_ins;
-          const double wb_before = pool.stats().writeback_seconds;
-          loop_status = pool.Access(unit, pos + count);
-          if (!loop_status.ok()) break;
-          if (pool.stats().swap_ins > swap_ins_before) {
-            // A miss: the compute thread sat through the whole swap.
-            // Victim writebacks inside the Access are already charged to
-            // writeback_seconds by timed_evict; keep the two buckets
-            // disjoint so stall_seconds means load waits in both engines.
-            const double wb_during =
-                pool.stats().writeback_seconds - wb_before;
-            pool.RecordStall(
-                std::max(0.0, access_watch.ElapsedSeconds() - wb_during));
-          }
-          pool.Pin(unit);
-          ++count;
-        }
-        if (loop_status.ok()) {
-          RunBatch(&state, plan, pos, count, compute_pool.get());
-        }
-        for (int64_t i = 0; i < count; ++i) {
-          const ModePartition unit = schedule.UnitAt(pos + i);
-          if (loop_status.ok()) pool.MarkDirty(unit);
-          pool.Unpin(unit);
-        }
-        if (!loop_status.ok()) break;
+      loop_status = pipeline.BeginBatch(pos, want, &count);
+      if (!loop_status.ok()) break;
+      RunBatch(&state, plan, pos, count, compute_pool.get());
+      for (int64_t i = 0; i < count; ++i) {
+        pool.MarkDirty(schedule.UnitAt(pos + i));
       }
+      loop_status = pipeline.EndBatch(pos, count);
+      if (!loop_status.ok()) break;
       pos += count;
     }
     if (cancelled || !loop_status.ok()) break;
@@ -346,12 +285,10 @@ Status Phase2Engine::Run(Phase2Result* result) {
     prev_fit = fit;
   }
 
-  if (pipeline != nullptr) {
-    // Always drain, success or not: Flush needs every pin released, and a
-    // background error must surface instead of being silently dropped.
-    const Status drained = pipeline->Drain();
-    if (loop_status.ok()) loop_status = drained;
-  }
+  // Always drain, success or not: Flush needs every pin released, and a
+  // background error must surface instead of being silently dropped.
+  const Status drained = pipeline.Drain();
+  if (loop_status.ok()) loop_status = drained;
 
   if (cancelled && loop_status.ok()) {
     // Clean wind-down: persist every dirty unit, then cut a checkpoint so
@@ -376,8 +313,8 @@ Status Phase2Engine::Run(Phase2Result* result) {
                              std::to_string(result->virtual_iterations) +
                              ", schedule position " + std::to_string(pos));
   }
-  // On error, skip the Flush: a failed background load leaves the pool
-  // claiming residency for a unit the refinement state never materialized.
+  // On error, skip the Flush: a failed load leaves the pool claiming
+  // residency for a unit the refinement state never materialized.
   TPCP_RETURN_IF_ERROR(loop_status);
 
   result->surrogate_fit = prev_fit;

@@ -1,12 +1,12 @@
-// The Phase-2 refinement execution engine (Algorithm 2's outer loop),
-// extracted from TwoPhaseCp so the data path can be swapped between the
-// synchronous Access loop and the asynchronous prefetch pipeline.
+// The Phase-2 refinement execution engine (Algorithm 2's outer loop).
 //
 // The engine owns the schedule cursor, the buffer pool, the convergence
 // logic and the Phase-2 statistics; the factor data itself lives in a
-// RefinementState backed by the caller's BlockFactorStore.
+// RefinementState backed by the caller's BlockFactorStore. Units come in
+// through one step loop over a PrefetchPipeline (buffer/prefetch_pipeline.h)
+// at the options' prefetch_depth — depth 0 loads each step's unit inline.
 //
-// Both data paths execute the same update sequence, so factors and fit
+// Every depth executes the same update sequence, so factors and fit
 // traces are identical for every prefetch_depth; only wall-clock behavior
 // (and, for depth > 0, eviction timing) differs.
 //
@@ -22,7 +22,7 @@
 // full-grid passes (RefinementState::Initialize pass 2, SurrogateFit)
 // shard by block with an in-order reduction — so factors and fit traces
 // stay bit-identical for every compute_threads × prefetch_depth value of
-// one plan, on both data paths, including across cancel→resume (the plan
+// one plan, including across cancel→resume (the plan
 // fingerprint in the checkpoint guarantees the same plan is replayed).
 
 #ifndef TPCP_CORE_PHASE2_ENGINE_H_
@@ -68,10 +68,11 @@ class Phase2Engine {
   Phase2Engine(BlockFactorStore* factors, const TwoPhaseCpOptions& options);
 
   /// Executes Phase 2 to convergence (or the virtual-iteration cap) and
-  /// fills `result`. Runs the synchronous data path when
-  /// options.prefetch_depth == 0, the asynchronous pipeline otherwise;
-  /// options.compute_threads > 1 executes conflict-free batches of steps
-  /// concurrently on either path (bit-identical results).
+  /// fills `result`. Each step's unit comes in through the prefetch
+  /// pipeline, options.prefetch_depth steps ahead (inline at depth 0,
+  /// on options.io_threads workers otherwise); options.compute_threads > 1
+  /// executes conflict-free batches of steps concurrently (bit-identical
+  /// results).
   ///
   /// With options.cancel set, the token is polled once per step wave
   /// (every step when compute_threads == 1); on cancellation the engine

@@ -11,18 +11,6 @@ std::string WorkerName(int worker) {
 
 }  // namespace
 
-const char* DegradeModeName(DegradeMode mode) {
-  switch (mode) {
-    case DegradeMode::kOff:
-      return "off";
-    case DegradeMode::kShrink:
-      return "shrink";
-    case DegradeMode::kSingle:
-      return "single";
-  }
-  return "?";
-}
-
 Result<DegradeMode> DegradeModeFromName(const std::string& name) {
   if (name == "off") return DegradeMode::kOff;
   if (name == "shrink") return DegradeMode::kShrink;

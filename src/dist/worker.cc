@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "buffer/prefetch_pipeline.h"
 #include "core/phase2_engine.h"
 #include "core/refinement_state.h"
 #include "dist/exchange.h"
@@ -222,6 +224,9 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   // inside it and stays out of ResumeFingerprint.
   TPCP_ASSIGN_OR_RETURN(const bool overlap,
                         GetBoolOr(init, "overlap", false));
+  if (options.prefetch_depth < 0 || options.io_threads < 1) {
+    return Status::InvalidArgument("dist worker: bad prefetch options");
+  }
 
   // From init on, heartbeat so the coordinator's quiet-period deadline
   // never fires while this worker computes; mirror a (generous) deadline
@@ -270,11 +275,12 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   BufferPool pool(planner_options.buffer_bytes, catalog,
                   NewPolicy(options.policy, &schedule, plan.lookahead(),
                             options.policy_victim_hints));
-  pool.SetCallbacks(
-      [&state](const ModePartition& unit) { return state.LoadUnit(unit); },
-      [&state](const ModePartition& unit, bool dirty) {
-        return state.EvictUnit(unit, dirty);
-      });
+  const auto load = [&state](const ModePartition& u) {
+    return state.LoadUnit(u);
+  };
+  const auto evict = [&state](const ModePartition& u, bool dirty) {
+    return state.EvictUnit(u, dirty);
+  };
 
   JsonValue ready = JsonValue::Object();
   ready.Set("t", "ready");
@@ -294,15 +300,21 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
   int64_t wave_begin = 0;
   int64_t wave_end = 0;
 
+  // One pipeline per virtual iteration, drained at vi_end: no writeback
+  // may be in flight when the fit and the persist upload read the state
+  // (EvictUnit drops the resident copy before it writes A).
+  std::unique_ptr<PrefetchPipeline> pipeline;
+
   // Overlap pipeline state. The compute thread runs one wave's owned
-  // steps (pool access + update + exchange upload) while the main thread
+  // steps (acquire + update + exchange upload) while the main thread
   // keeps receiving — installing the previous wave's deferred absorbs as
   // the relay thread streams them. state_mu serializes RefinementState
-  // and pool mutation between the two; the deferral proof guarantees the
+  // mutation between the two; the deferral proof guarantees the
   // interleavings are semantically disjoint (an absorbed unit is never
   // one this wave reads or refreshes), so the lock is purely for memory
-  // ordering. Declared after state/pool/channel so its destructor joins
-  // the thread before any of them die on an error path.
+  // ordering (loads and writebacks never touch absorbed metadata, so they
+  // run outside it). Declared after state/pool/pipeline/channel so its
+  // destructor joins the thread before any of them die on an error path.
   std::mutex state_mu;
   struct ComputeTask {
     std::thread thread;
@@ -312,9 +324,19 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
     }
   } compute;
 
+  // Ends the virtual iteration's pipeline, once its last wave committed.
+  const auto drain_pipeline = [&]() -> Status {
+    if (compute.thread.joinable()) {
+      return Status::InvalidArgument("dist worker: iteration ended mid-wave");
+    }
+    const Status drained = pipeline ? pipeline->Drain() : Status::OK();
+    pipeline.reset();
+    return drained;
+  };
+
   // One wave's owned steps plus the trailing wave_done. `synchronized`
-  // (overlap) takes state_mu around pool/state mutation and keeps the
-  // wire encode outside it so absorb installs interleave with uploads.
+  // (overlap) takes state_mu around state mutation and keeps the wire
+  // encode outside it so absorb installs interleave with uploads.
   const auto run_owned_steps = [&](int64_t begin, int64_t end,
                                    bool synchronized) -> Status {
     for (int64_t pos = begin; pos < end; ++pos) {
@@ -325,16 +347,18 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
                                 std::to_string(pos));
       }
       const ModePartition unit = plan.UnitAt(pos);
+      int64_t acquired = 0;
+      TPCP_RETURN_IF_ERROR(pipeline->BeginBatch(pos, 1, &acquired));
       RefinementState::ExchangeImage image;
       {
         std::unique_lock<std::mutex> lock(state_mu, std::defer_lock);
         if (synchronized) lock.lock();
-        TPCP_RETURN_IF_ERROR(pool.Access(unit, pos));
         state.ApplyUpdate(plan.StepAt(pos), plan.ShardBlocksAt(pos));
         image = state.ExportExchange(unit);
       }
       pool.MarkDirty(unit);
       pending_persist.insert(unit);
+      TPCP_RETURN_IF_ERROR(pipeline->EndBatch(pos, acquired));
       TPCP_RETURN_IF_ERROR(SendExchange(channel.get(), pos, unit, image));
     }
     JsonValue done = JsonValue::Object();
@@ -350,6 +374,26 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
     if (tag == "wave") {
       TPCP_ASSIGN_OR_RETURN(const int64_t begin, GetInt(msg, "pos"));
       TPCP_ASSIGN_OR_RETURN(const int64_t end, GetInt(msg, "end"));
+      // The coordinator's own rule: one plan wave, clipped, after the
+      // previous wave's commit and continuing it within a virtual
+      // iteration. The second bound keeps WaveEndAfter in range.
+      if (begin < 0 ||
+          begin > std::numeric_limits<int64_t>::max() - plan.cycle_length() ||
+          end <= begin || end > plan.WaveEndAfter(begin) ||
+          (pipeline != nullptr && begin != wave_end) ||
+          compute.thread.joinable()) {
+        return Status::InvalidArgument("dist worker: bad wave [" +
+                                       std::to_string(begin) + ", " +
+                                       std::to_string(end) + ")");
+      }
+      if (pipeline == nullptr) {
+        PrefetchPipeline::Options popts;
+        popts.io_threads = options.io_threads;
+        popts.start_pos = begin;
+        popts.owned = [&](int64_t p) { return dplan.OwnerAt(p) == worker_id; };
+        pipeline = std::make_unique<PrefetchPipeline>(&pool, &plan, load, evict,
+                                                      std::move(popts));
+      }
       wave_begin = begin;
       wave_end = end;
       // Safe under overlap too: channels are FIFO and the coordinator
@@ -358,7 +402,6 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       // clear and before this wave's commit gate reads the set.
       absorbed.clear();
       if (overlap) {
-        TPCP_CHECK(!compute.thread.joinable());
         compute.status = Status::OK();
         compute.thread = std::thread([&, begin, end] {
           const Status s = run_owned_steps(begin, end,
@@ -417,11 +460,13 @@ Status ServeDistWorker(Env* base_env, const std::string& factor_prefix,
       ack.Set("t", "wave_ack");
       TPCP_RETURN_IF_ERROR(channel->Send(ack));
     } else if (tag == "vi_end") {
+      TPCP_RETURN_IF_ERROR(drain_pipeline());
       JsonValue fit = JsonValue::Object();
       fit.Set("t", "fit");
       fit.Set("fit", DoubleBits(state.SurrogateFit()));
       TPCP_RETURN_IF_ERROR(channel->Send(fit));
     } else if (tag == "persist") {
+      TPCP_RETURN_IF_ERROR(drain_pipeline());
       // Deterministic (mode, part) order: pending_persist is an ordered
       // set, so the coordinator's byte accounting and write order never
       // depend on update timing.

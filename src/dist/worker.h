@@ -3,8 +3,11 @@
 // A worker owns the data units the weighted DistributedPlan ownership map
 // assigns to worker_id (heaviest units first onto the least-loaded
 // worker; schedule/planner.h) and executes exactly their plan positions,
-// serially in plan order, through the same RefinementState / BufferPool
-// machinery as the single-process engine. Everything else it needs — the
+// serially in plan order, through the same RefinementState / BufferPool /
+// PrefetchPipeline machinery as the single-process engine: the pipeline
+// skips the other owners' positions and honors the init's prefetch_depth
+// and io_threads (one pipeline per virtual iteration, drained at vi_end
+// before the fit and the persist upload). Everything else it needs — the
 // other owners' metadata refreshes (G, slab M) — arrives from the
 // coordinator after each wave; within a conflict-free wave those images
 // touch disjoint metadata no owned step reads, so executing owned steps
@@ -39,7 +42,9 @@
 //                     firing while the worker computes)
 //   worker -> coord   {"t":"ready","plan_fp":i64,"opts_fp":i64,
 //                      "own_fp":i64,"fit":bits}
-//   coord -> worker   {"t":"wave","pos":P,"end":E}
+//   coord -> worker   {"t":"wave","pos":P,"end":E}   (0 <= P < E <= the plan's
+//                     wave end after P, continuing the previous wave within
+//                     a virtual iteration; anything else is InvalidArgument)
 //   worker -> coord   {"t":"xchg","pos":i,"mode":m,"part":p,
 //                      "g":mat?,"m":[[flat,mat],…],"last":B}   (per owned
 //                      step, chunked under the frame ceiling)

@@ -104,40 +104,23 @@ TEST(BufferPoolTest, LruUsesAccessRecencyNotInsertion) {
   EXPECT_FALSE(pool.IsResident({0, 1}));
 }
 
-TEST(BufferPoolTest, LoadEvictCallbacksFire) {
+TEST(BufferPoolTest, EvictCallbackFires) {
   const GridPartition grid = CubicGrid(8, 2);
   UnitCatalog catalog(grid, 2);
   BufferPool pool(catalog.UnitBytes({0, 0}), catalog, NewLruPolicy());
-  std::vector<ModePartition> loads;
   std::vector<std::pair<ModePartition, bool>> evictions;
-  pool.SetCallbacks(
-      [&loads](const ModePartition& u) {
-        loads.push_back(u);
-        return Status::OK();
-      },
-      [&evictions](const ModePartition& u, bool dirty) {
-        evictions.emplace_back(u, dirty);
-        return Status::OK();
-      });
+  pool.SetEvictCallback([&evictions](const ModePartition& u, bool dirty) {
+    evictions.emplace_back(u, dirty);
+    return Status::OK();
+  });
   ASSERT_TRUE(pool.Access({0, 0}, 0).ok());
   pool.MarkDirty({0, 0});
   ASSERT_TRUE(pool.Access({0, 1}, 1).ok());  // evicts dirty {0,0}
   ASSERT_TRUE(pool.Flush().ok());
-  ASSERT_EQ(loads.size(), 2u);
   ASSERT_EQ(evictions.size(), 2u);
   EXPECT_TRUE(evictions[0].second);   // {0,0} was dirty
   EXPECT_FALSE(evictions[1].second);  // {0,1} clean
   EXPECT_EQ(pool.stats().dirty_writebacks, 1u);
-}
-
-TEST(BufferPoolTest, LoadFailurePropagates) {
-  const GridPartition grid = CubicGrid(8, 2);
-  UnitCatalog catalog(grid, 2);
-  BufferPool pool(catalog.TotalBytes(), catalog, NewLruPolicy());
-  pool.SetCallbacks(
-      [](const ModePartition&) { return Status::IOError("boom"); },
-      nullptr);
-  EXPECT_TRUE(pool.Access({0, 0}, 0).IsIOError());
 }
 
 TEST(BufferPoolTest, FlushEmptiesPool) {
@@ -166,8 +149,7 @@ TEST(BufferPoolTest, ReservePinsAndReportsEvictionsWithoutCallbacks) {
   UnitCatalog catalog(grid, 2);
   BufferPool pool(2 * catalog.UnitBytes({0, 0}), catalog, NewLruPolicy());
   int callback_evictions = 0;
-  pool.SetCallbacks(nullptr, [&callback_evictions](const ModePartition&,
-                                                   bool) {
+  pool.SetEvictCallback([&callback_evictions](const ModePartition&, bool) {
     ++callback_evictions;
     return Status::OK();
   });

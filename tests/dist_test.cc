@@ -36,14 +36,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/phase2_engine.h"
+#include "core/refinement_state.h"
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
 #include "dist/coordinator.h"
@@ -303,6 +306,62 @@ TEST(DistWireTest, HostileFramesAreRejectedNotFatal) {
   ASSERT_TRUE(DecodeMatrixRowsInto(EncodeMatrixRows(src, 1, 2), &out).ok());
   EXPECT_EQ(out(1, 0), 2.0);
   EXPECT_EQ(out(2, 0), 3.0);
+}
+
+/// Plays coordinator for one in-process worker on a seeded store: init,
+/// ready, then `frame`. Returns the worker's own status once it exits.
+Status WorkerStatusAfterFrame(const std::string& root,
+                              const JsonValue& frame) {
+  const TwoPhaseCpOptions options = DistOptions();
+  auto env = OpenEnv("posix://" + ::testing::TempDir() + root);
+  if (!env.ok()) return env.status();
+  PreparePhase1Store(env->get(), options);
+  BlockFactorStore factors(env->get(), "f", TestGrid(), options.rank);
+  TPCP_RETURN_IF_ERROR(RefinementState(&factors).Initialize());
+  int port = 0;
+  TPCP_ASSIGN_OR_RETURN(const int listen_fd, DistListen(&port));
+  Status worker_status;
+  std::thread worker([&] {
+    worker_status = ServeDistWorker(env->get(), "f", port, 0);
+  });
+  auto script = [&]() -> Status {
+    TPCP_ASSIGN_OR_RETURN(std::unique_ptr<DistChannel> channel,
+                          DistAccept(listen_fd, 5000));
+    JsonValue hello, ready;
+    TPCP_RETURN_IF_ERROR(channel->Recv(&hello));
+    JsonValue init = JsonValue::Object();
+    init.Set("t", "init");
+    init.Set("workers", 1);
+    init.Set("grid", EncodeGrid(TestGrid()));
+    init.Set("options", EncodeOptions(options));
+    TPCP_RETURN_IF_ERROR(channel->Send(init));
+    TPCP_RETURN_IF_ERROR(channel->Recv(&ready));
+    EXPECT_EQ(ready.Find("t")->string_value(), "ready");
+    return channel->Send(frame);
+  };
+  const Status sent = script();
+  worker.join();
+  ::close(listen_fd);
+  TPCP_RETURN_IF_ERROR(sent);
+  return worker_status;
+}
+
+// A wave frame outside the coordinator's rule (0 <= pos < end <= the
+// plan's wave end) is refused: a negative position once indexed before
+// the schedule's cycle, and an unbounded end spun the worker.
+TEST(DistWireTest, OutOfRangeWaveFramesAreRejected) {
+  for (const auto& [name, pos, end] :
+       std::vector<std::tuple<std::string, int64_t, int64_t>>{
+           {"negative_pos", -1, 1},
+           {"unbounded_end", 0, std::numeric_limits<int64_t>::max()}}) {
+    JsonValue wave = JsonValue::Object();
+    wave.Set("t", "wave");
+    wave.Set("pos", pos);
+    wave.Set("end", end);
+    const Status status = WorkerStatusAfterFrame("dist_wave_" + name, wave);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << name << ": " << status.ToString();
+  }
 }
 
 TEST(DistPhase2Test, WorkersProduceBitIdenticalFactorsAndExactByteLedger) {
@@ -862,6 +921,54 @@ TEST(DistPhase2Test, OverlapPipelineBitIdenticalAndExactLedger) {
         EXPECT_EQ(result.overlapped_bytes, 0u);
         EXPECT_EQ(result.hidden_seconds, 0.0);
       }
+    }
+  }
+}
+
+// Workers bring their owned units in through the prefetch pipeline at the
+// init's prefetch_depth: any depth, with or without the overlap pipeline,
+// is bitwise the engine's run with an exact ledger. Three virtual
+// iterations under a tight buffer keep writebacks in flight across the
+// vi_end boundaries.
+TEST(DistPhase2Test, PrefetchDepthAndOverlapBitIdenticalAndExactLedger) {
+  TwoPhaseCpOptions options = OverlapOptions();
+  options.max_virtual_iterations = 3;
+  options.buffer_fraction = 0.3;
+  Phase2Result reference;
+  OpenedEnv ref_env =
+      RunEngineReference("dist_prefetch_ref", options, &reference);
+
+  for (const int depth : {0, 2}) {
+    for (const bool overlap : {false, true}) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + ", overlap " +
+                   (overlap ? "on" : "off"));
+      TwoPhaseCpOptions run_options = options;
+      run_options.prefetch_depth = depth;
+      run_options.io_threads = 2;
+      auto env = OpenEnv("posix://" + ::testing::TempDir() +
+                         "dist_prefetch_" + std::to_string(depth) +
+                         (overlap ? "_on" : "_off"));
+      ASSERT_TRUE(env.ok()) << env.status().ToString();
+      PreparePhase1Store(env->get(), run_options);
+      BlockFactorStore factors(env->get(), "f", TestGrid(),
+                               run_options.rank);
+      WorkerFleet fleet;
+      DistributedRunOptions dopts;
+      dopts.num_workers = 2;
+      dopts.overlap = overlap;
+      dopts.spawn_worker = SpawnInProcess(&fleet, env->get());
+      DistributedRunResult result;
+      const Status status =
+          RunDistributedPhase2(&factors, run_options, dopts, &result);
+      fleet.Join();
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      for (const Status& worker_status : fleet.statuses) {
+        EXPECT_TRUE(worker_status.ok()) << worker_status.ToString();
+      }
+      EXPECT_EQ(result.respawns, 0);
+      ExpectPhase2Equal(result.phase2, reference);
+      ExpectFactorsBitIdentical(ref_env.get(), env->get(), options.rank);
+      ExpectLedgerExact(result);
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "core/swap_simulator.h"
 #include "core/two_phase_cp.h"
 #include "data/synthetic.h"
 #include "storage/faulty_env.h"
@@ -116,17 +117,39 @@ TEST(Phase2AsyncTest, DeterministicAcrossPrefetchDepths) {
   }
 }
 
-// With depth 0 the engine must not even construct a pipeline: swap counts
-// match the pre-refactor synchronous engine (the swap-simulator tests pin
-// the exact values; here we pin the sync/async stat split).
+// Depth 0 runs the pipeline without lookahead: every load is inline on the
+// compute thread, so none can count as a prefetch hit — serial or batched.
+// Serial steps see exactly the swaps and hits of a plain Access replay of
+// the plan (the swap simulator).
 TEST(Phase2AsyncTest, SynchronousModeReportsNoOverlapStats) {
-  Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2);
-  TwoPhaseCpOptions options = BaseOptions(2);
-  options.max_virtual_iterations = 4;
-  TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
-  ASSERT_TRUE(engine.RunPhase1().ok());
-  ASSERT_TRUE(engine.RunPhase2().ok());
-  EXPECT_EQ(engine.result().buffer_stats.prefetch_hits, 0u);
+  for (int compute_threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(compute_threads) + " compute threads");
+    Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2);
+    TwoPhaseCpOptions options = BaseOptions(2);
+    options.max_virtual_iterations = 4;
+    options.compute_threads = compute_threads;
+    TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
+    ASSERT_TRUE(engine.RunPhase1().ok());
+    ASSERT_TRUE(engine.RunPhase2().ok());
+    const BufferStats& stats = engine.result().buffer_stats;
+    EXPECT_GT(stats.swap_ins, 0u);
+    EXPECT_EQ(stats.prefetch_hits, 0u);
+    if (compute_threads == 1) {
+      const GridPartition& grid = f.factors->grid();
+      const PlannerOptions planner = Phase2PlannerOptions(options, grid);
+      const ExecutionPlan plan = Planner::Build(
+          UpdateSchedule::Create(options.schedule, grid), planner);
+      const BufferStats replay =
+          SimulateSwapsForSchedule(plan.schedule(), options.rank,
+                                   options.policy, planner.buffer_bytes,
+                                   /*warmup_cycles=*/0,
+                                   options.max_virtual_iterations)
+              .stats;
+      EXPECT_EQ(stats.accesses, replay.accesses);
+      EXPECT_EQ(stats.hits, replay.hits);
+      EXPECT_EQ(stats.swap_ins, replay.swap_ins);
+    }
+  }
 }
 
 TEST(Phase2AsyncTest, AsyncModeRegistersPrefetchHits) {
@@ -144,25 +167,29 @@ TEST(Phase2AsyncTest, AsyncModeRegistersPrefetchHits) {
   EXPECT_LE(stats.prefetch_hits, stats.swap_ins);
 }
 
-// A read failure injected into a background prefetch load must come back
-// as RunPhase2's status instead of crashing a worker thread.
+// A read failure injected into a unit load — inline at depth 0, on a
+// prefetch worker at depth 4 — must come back as RunPhase2's status
+// instead of crashing a thread.
 TEST(Phase2AsyncTest, BackgroundLoadErrorPropagates) {
   std::unique_ptr<Env> (*faulty)(Env*) = [](Env* delegate) {
     return std::unique_ptr<Env>(std::make_unique<FaultyEnv>(delegate));
   };
-  Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2, faulty);
-  TwoPhaseCpOptions options = BaseOptions(2);
-  options.prefetch_depth = 4;
-  options.io_threads = 3;
-  TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
-  ASSERT_TRUE(engine.RunPhase1().ok());
-  // RefinementState::Initialize performs 30 reads on this 2x2x2 grid (6
-  // slab seeds + 8 blocks x 3 modes); allow those and fail during the
-  // buffered refinement loop's unit loads (2 reads per load: A and S).
-  static_cast<FaultyEnv*>(f.env)->FailReadsAfter(40);
-  const Status status = engine.RunPhase2();
-  ASSERT_FALSE(status.ok());
-  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  for (int depth : {0, 4}) {
+    Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2, faulty);
+    TwoPhaseCpOptions options = BaseOptions(2);
+    options.prefetch_depth = depth;
+    options.io_threads = 3;
+    TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
+    ASSERT_TRUE(engine.RunPhase1().ok());
+    // RefinementState::Initialize performs 30 reads on this 2x2x2 grid (6
+    // slab seeds + 8 blocks x 3 modes); allow those and fail during the
+    // buffered refinement loop's unit loads (2 reads per load: A and S).
+    static_cast<FaultyEnv*>(f.env)->FailReadsAfter(40);
+    const Status status = engine.RunPhase2();
+    ASSERT_FALSE(status.ok()) << "depth " << depth;
+    EXPECT_TRUE(status.IsIOError())
+        << "depth " << depth << ": " << status.ToString();
+  }
 }
 
 // Phase 2 packs the slabs a store lacks (one written before slabs were
@@ -228,23 +255,27 @@ TEST(Phase2AsyncTest, CorruptSlabIsCorruption) {
   }
 }
 
-// A write failure during a background dirty writeback must also surface.
+// A write failure during a dirty writeback — inline at depth 0, in the
+// background at depth 4 — must also surface.
 TEST(Phase2AsyncTest, BackgroundWritebackErrorPropagates) {
   std::unique_ptr<Env> (*faulty)(Env*) = [](Env* delegate) {
     return std::unique_ptr<Env>(std::make_unique<FaultyEnv>(delegate));
   };
-  Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2, faulty);
-  TwoPhaseCpOptions options = BaseOptions(2);
-  options.prefetch_depth = 4;
-  options.io_threads = 3;
-  TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
-  ASSERT_TRUE(engine.RunPhase1().ok());
-  // Allow Initialize's 6 sub-factor seed writes, then let the first few
-  // dirty writebacks through before the injected full-disk failure.
-  static_cast<FaultyEnv*>(f.env)->FailWritesAfter(8);
-  const Status status = engine.RunPhase2();
-  ASSERT_FALSE(status.ok());
-  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  for (int depth : {0, 4}) {
+    Fixture f = MakeFixture(Shape({12, 12, 12}), 2, 2, faulty);
+    TwoPhaseCpOptions options = BaseOptions(2);
+    options.prefetch_depth = depth;
+    options.io_threads = 3;
+    TwoPhaseCp engine(f.input.get(), f.factors.get(), options);
+    ASSERT_TRUE(engine.RunPhase1().ok());
+    // Allow Initialize's 6 sub-factor seed writes, then let the first few
+    // dirty writebacks through before the injected full-disk failure.
+    static_cast<FaultyEnv*>(f.env)->FailWritesAfter(8);
+    const Status status = engine.RunPhase2();
+    ASSERT_FALSE(status.ok()) << "depth " << depth;
+    EXPECT_TRUE(status.IsIOError())
+        << "depth " << depth << ": " << status.ToString();
+  }
 }
 
 // A read failure in a speculative prefetch issued past the convergence
